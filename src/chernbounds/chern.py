@@ -94,9 +94,6 @@ class ChernPoly:
     def coeff(self, parts, line_power: int = 0) -> MPoly:
         return self.terms.get(_mono(parts, line_power), MPoly.zero())
 
-    def has_line_symbol(self) -> bool:
-        return any(mn.line_power for mn in self.terms)
-
     def _check(self, other: "ChernPoly"):
         if self.terms and other.terms and self.variables != other.variables:
             raise ValueError(f"mixed variable tags {self.variables!r} vs {other.variables!r}")
@@ -192,11 +189,6 @@ def cvar(i: int, variables: str = "x") -> ChernPoly:
 def cmono(parts, coeff=1, variables: str = "x", line_power: int = 0) -> ChernPoly:
     """One term: coeff times the monomial for `parts` (times the line symbol)."""
     return ChernPoly({_mono(parts, line_power): _as_mpoly(coeff)}, variables)
-
-
-def line_symbol() -> ChernPoly:
-    """The first Chern class of the twisting line bundle, as its own symbol."""
-    return ChernPoly({_mono((), 1): MPoly.const(1)}, "e")
 
 
 def substitute(

@@ -147,9 +147,8 @@ def cmd_polytope(args) -> int:
         m_value = args.m
     if m_value == 0:
         return _fail("--m must be nonzero")
-    include = not args.no_comparisons
     try:
-        rows = build_polytope(args.n, m_value, args.mode, include)
+        rows = build_polytope(args.n, m_value, args.mode, not args.no_comparisons)
     except ValueError as exc:
         return _fail(str(exc))
     coords = ratio_coordinates(args.n)
@@ -157,11 +156,11 @@ def cmd_polytope(args) -> int:
     chi = None
     code = 0
     if args.bounds:
-        cert = boundedness_certificate(args.n, m_value, args.mode, include)
+        cert = boundedness_certificate(rows, m_value, args.mode)
         if not cert.bounded:
             code = 2
     if args.chi:
-        chi = chi_bounds(args.n, m_value, args.mode, include)
+        chi = chi_bounds(rows)
         if any(s != "optimal" for s in chi.statuses):
             code = 2
 

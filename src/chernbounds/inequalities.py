@@ -141,6 +141,7 @@ def comparison_inequalities(n: int) -> list[Inequality]:
         raise ValueError("dimension must be at least 2")
     parts = enumerate_partitions(n)
     exprs = {a: chern_s_to_schubert(a) for a in parts}
+    prods = {a: _gauss_product(a, n) for a in parts}
     sign = -1 if n % 2 else 1
     out: list[Inequality] = []
     seen = set()
@@ -150,7 +151,7 @@ def comparison_inequalities(n: int) -> list[Inequality]:
                 diff = exprs[hi] - exprs[lo]
                 if diff.is_zero() or not is_effective(diff):
                     continue
-                lhs = (_gauss_product(hi, n) - _gauss_product(lo, n)) * sign
+                lhs = (prods[hi] - prods[lo]) * sign
                 if lhs.is_zero():
                     continue
                 key = lhs.key()

@@ -1,7 +1,9 @@
 """Dense univariate polynomials over Q in the twisting multiple m.
 
-Coefficient values everywhere are fractions.Fraction; nothing in the package
-ever rounds.  MPoly instances are immutable and hashable.
+Coefficients are exact and stored as given: an int stays an int, and a
+fractions.Fraction appears only where a division or the Todd series makes one.
+The two compare, hash and print alike.  Nothing in the package ever rounds.
+MPoly instances are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -10,16 +12,14 @@ import math
 from fractions import Fraction
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _exact(x) -> int | Fraction:
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
 class MPoly:
-    """Polynomial in one variable m with Fraction coefficients.
+    """Polynomial in one variable m with int or Fraction coefficients.
 
     coeffs[k] is the coefficient of m^k; trailing zeros are stripped.
     """
@@ -27,7 +27,7 @@ class MPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -37,7 +37,7 @@ class MPoly:
 
     @classmethod
     def const(cls, value) -> "MPoly":
-        return cls((_frac(value),))
+        return cls((_exact(value),))
 
     @classmethod
     def zero(cls) -> "MPoly":
@@ -51,17 +51,17 @@ class MPoly:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self!r}")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeffs[0] if self.coeffs else 0
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def __call__(self, m_value) -> Fraction:
-        m_value = _frac(m_value)
-        acc = Fraction(0)
+    def __call__(self, m_value) -> int | Fraction:
+        m_value = _exact(m_value)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * m_value + c
         return acc
@@ -88,8 +88,8 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
+        a = self.coeffs + (0,) * (n - len(self.coeffs))
+        b = other.coeffs + (0,) * (n - len(other.coeffs))
         return MPoly(x + y for x, y in zip(a, b))
 
     __radd__ = __add__
@@ -111,7 +111,7 @@ class MPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return MPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -121,7 +121,7 @@ class MPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _frac(other)
+        other = Fraction(_exact(other))
         if other == 0:
             raise ZeroDivisionError
         return MPoly(c / other for c in self.coeffs)
@@ -163,7 +163,7 @@ def rational_content(values) -> Fraction:
     """gcd of a collection of Fractions: gcd of numerators / lcm of denominators."""
     num, den = 0, 1
     for v in values:
-        v = _frac(v)
+        v = _exact(v)
         num = math.gcd(num, abs(v.numerator))
         den = math.lcm(den, v.denominator)
     return Fraction(num, den)

@@ -162,10 +162,13 @@ class BoundsCertificate(NamedTuple):
 
 
 def boundedness_certificate(
-    n: int, m_value: int, mode: str = GENERAL_TYPE, include_comparisons: bool = True
+    rows: list[RatioInequality], m_value: int, mode: str = GENERAL_TYPE
 ) -> BoundsCertificate:
-    """Exact min and max of every ratio coordinate over the polytope."""
-    rows = build_polytope(n, m_value, mode, include_comparisons)
+    """Exact min and max of every ratio coordinate over the polytope.
+
+    `rows` is the output of build_polytope at the same m and mode.
+    """
+    n = rows[0].n
     coords = ratio_coordinates(n)
     k = len(coords)
     bounds = []
@@ -198,16 +201,15 @@ class ChiBounds(NamedTuple):
     statuses: tuple[str, str, str, str]
 
 
-def chi_bounds(
-    n: int, m_value: int, mode: str = GENERAL_TYPE, include_comparisons: bool = True
-) -> ChiBounds:
+def chi_bounds(rows: list[RatioInequality]) -> ChiBounds:
     """Bounds for the Euler number and the structure-sheaf characteristic.
 
     Both are measured against the n-th power of the (anti)canonical class;
     the conversion factor c_1^n / K^n is (-1)^n in both modes.  d1, d2 bound
     the top Chern class; d3, d4 bound the degree-n piece of the Todd class.
+    `rows` is the output of build_polytope.
     """
-    rows = build_polytope(n, m_value, mode, include_comparisons)
+    n = rows[0].n
     coords = ratio_coordinates(n)
     sign = -1 if n % 2 else 1
     top = Partition([n])

@@ -150,7 +150,7 @@ def _pieri_partitions(a: Partition, b: int, box: BoxSpec | None) -> list[Partiti
             return
         lo = a[i] if i < k else 0
         if i > 0:
-            up = a[i - 1]
+            up = a[i - 1] if i <= k else 0
         elif box is not None:
             up = box.cols
         else:

@@ -32,7 +32,7 @@ from .inequalities import (
     specialize,
 )
 from .mpoly import M, MPoly
-from .partitions import Partition
+from .partitions import Partition, enumerate_partitions
 from .render import render_chern, render_schubert
 from .schubert import (
     BoxSpec,
@@ -590,35 +590,17 @@ def section_n5() -> list[CheckResult]:
 def _duality_table_ok(rows: int, cols: int) -> bool:
     box = BoxSpec(rows, cols)
     fitting = [
-        Partition(p)
-        for w in range(rows * cols + 1)
-        for p in _fitting_partitions(rows, cols, w)
+        p for w in range(rows * cols + 1) for p in enumerate_partitions(w) if box.fits(p)
     ]
     area = rows * cols
     for a in fitting:
         for b in fitting:
             if a.weight + b.weight != area:
                 continue
-            pad = tuple(a) + (0,) * (rows - len(a))
-            comp = Partition(cols - pad[rows - 1 - i] for i in range(rows))
-            want = 1 if b == comp else 0
+            want = 1 if b == box.complement(a) else 0
             if dual_pairing(a, b, box) != want:
                 return False
     return True
-
-
-def _fitting_partitions(rows: int, cols: int, w: int):
-    def rec(remaining, maxpart, length):
-        if remaining == 0:
-            yield ()
-            return
-        if length == 0:
-            return
-        for first in range(min(maxpart, remaining), 0, -1):
-            for rest in rec(remaining - first, first, length - 1):
-                yield (first,) + rest
-
-    yield from rec(w, cols, rows)
 
 
 def section_schubert() -> list[CheckResult]:

@@ -12,6 +12,7 @@ from chernbounds import (
     BoxSpec,
     Partition,
     boundedness_certificate,
+    build_polytope,
     chi_bounds,
     chi_structure_sheaf_functional,
     cmono,
@@ -61,7 +62,7 @@ def test_01_surface_window():
     lower, upper = mixed
     assert lower.lhs == cmono([1, 1], mp(0, 2, 3)) + cmono([2])
     assert upper.lhs == cmono([1, 1], mp(1, 4, 6)) + cmono([2], -1)
-    cert = boundedness_certificate(2, 1)
+    cert = boundedness_certificate(build_polytope(2, 1), 1)
     bound = cert.coordinates[0]
     assert (bound.minimum, bound.maximum) == (-5, 11)
     print("PASS 01 surface window: -(3m^2+2m)c1^2 <= c2 <= (6m^2+4m+1)c1^2, [-5, 11] at m=1")
@@ -186,12 +187,13 @@ def test_09_ratio_polytopes_bounded():
     """Every ratio coordinate has finite exact min and max for n=2,3,4 at
     m=1; the surface interval is exactly [-5, 11]."""
     for n in (2, 3, 4):
-        cert = boundedness_certificate(n, 1, GENERAL_TYPE)
+        rows = build_polytope(n, 1, GENERAL_TYPE)
+        cert = boundedness_certificate(rows, 1, GENERAL_TYPE)
         assert cert.bounded, n
         for bound in cert.coordinates:
             assert bound.min_status == bound.max_status == "optimal"
             assert bound.minimum is not None and bound.maximum is not None
-    surface = boundedness_certificate(2, 1).coordinates[0]
+    surface = boundedness_certificate(build_polytope(2, 1), 1).coordinates[0]
     assert (surface.minimum, surface.maximum) == (-5, 11)
     print("PASS 09 ratio polytopes: bounded with LP certificates for n=2,3,4 at m=1")
 
@@ -202,7 +204,7 @@ def test_10_characteristic_bounds():
     assert chi_structure_sheaf_functional(2) == (
         cmono([1, 1], Fraction(1, 12)) + cmono([2], Fraction(1, 12))
     )
-    res = chi_bounds(2, 1)
+    res = chi_bounds(build_polytope(2, 1))
     assert res.statuses == ("optimal",) * 4
     assert (res.d1, res.d2, res.d3, res.d4) == (-5, 11, Fraction(-1, 3), 1)
     print("PASS 10 characteristic bounds: d1=-5 d2=11 d3=-1/3 d4=1, exact")

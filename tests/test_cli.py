@@ -1,11 +1,13 @@
 """End-to-end command tests, run in process through main()."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import chernbounds.polytope
 from chernbounds.cli import main
 from chernbounds.inequalities import generate_all, specialize
 from chernbounds.render import parse_inequality_json
@@ -105,6 +107,20 @@ def test_polytope_bounds_and_chi_json(capsys):
         "d4": "1",
         "statuses": ["optimal"] * 4,
     }
+
+
+def test_polytope_bounds_and_chi_generate_once(capsys, monkeypatch):
+    calls = []
+    real = chernbounds.polytope.generate_all
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chernbounds.polytope, "generate_all", counted)
+    code, _, _ = run_cli(capsys, "polytope", "--n", "3", "--m", "1", "--bounds", "--chi")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_polytope_fano(capsys):
@@ -213,11 +229,14 @@ def test_byte_determinism(capsys):
 
 
 def test_console_script_entry_point():
+    package_parent = os.path.dirname(os.path.dirname(chernbounds.__file__))
+    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "chernbounds.cli", "todd", "2"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(1/12)*c1^2 + (1/12)*c2"

@@ -172,3 +172,12 @@ def test_generate_all_without_comparisons_is_smaller():
     assert "comparison" not in kinds
     # schubert-class rows reappear once comparisons stop absorbing them
     assert (2, 2) in {tuple(i.provenance.a) for i in plain if i.provenance.kind == "schubert-class"}
+
+
+def test_pipeline_coefficients_stay_int():
+    # integers stay ints until specialize divides by the content
+    polys = [gauss_pullback_chern(n, p) for n in range(1, 7) for p in range(n + 1)]
+    polys += [ineq.lhs for ineq in generate_all(4)]
+    for poly in polys:
+        for coeff in poly.terms.values():
+            assert all(type(c) is int for c in coeff.coeffs), poly

@@ -48,20 +48,20 @@ def test_coordinates_order():
 
 
 def test_surface_interval_m1():
-    cert = boundedness_certificate(2, 1)
+    cert = boundedness_certificate(build_polytope(2, 1), 1)
     assert cert.bounded
     assert interval(cert, (2,)) == (-5, 11)
 
 
 def test_threefold_intervals_m1():
-    cert = boundedness_certificate(3, 1)
+    cert = boundedness_certificate(build_polytope(3, 1), 1)
     assert cert.bounded
     assert interval(cert, (2, 1)) == (-9, 16)
     assert interval(cert, (3,)) == (-14, 86)
 
 
 def test_fourfold_intervals_m1():
-    cert = boundedness_certificate(4, 1)
+    cert = boundedness_certificate(build_polytope(4, 1), 1)
     assert cert.bounded
     assert interval(cert, (2, 1, 1)) == (-14, 22)
     assert interval(cert, (2, 2)) == (-140, 484)
@@ -73,12 +73,12 @@ def test_fourfold_intervals_m1():
 
 
 def test_surface_interval_m5():
-    cert = boundedness_certificate(2, 5)
+    cert = boundedness_certificate(build_polytope(2, 5), 5)
     assert interval(cert, (2,)) == (-85, 171)
 
 
 def test_fano_surface_interval():
-    cert = boundedness_certificate(2, -1, FANO)
+    cert = boundedness_certificate(build_polytope(2, -1, FANO), -1, FANO)
     assert cert.bounded
     assert interval(cert, (2,)) == (-1, 3)
 
@@ -131,8 +131,8 @@ def test_ball_quotient_ratio_feasible_at_m5():
 
 
 def test_comparisons_only_tighten():
-    with_cmp = boundedness_certificate(3, 1, include_comparisons=True)
-    without = boundedness_certificate(3, 1, include_comparisons=False)
+    with_cmp = boundedness_certificate(build_polytope(3, 1, include_comparisons=True), 1)
+    without = boundedness_certificate(build_polytope(3, 1, include_comparisons=False), 1)
     for full, plain in zip(with_cmp.coordinates, without.coordinates):
         assert plain.min_status == "optimal" or plain.minimum is None
         if plain.minimum is not None and full.minimum is not None:
@@ -142,7 +142,7 @@ def test_comparisons_only_tighten():
 
 
 def test_chi_bounds_surface():
-    res = chi_bounds(2, 1)
+    res = chi_bounds(build_polytope(2, 1))
     assert res.statuses == ("optimal",) * 4
     assert (res.d1, res.d2) == (-5, 11)
     assert (res.d3, res.d4) == (Fraction(-1, 3), 1)
@@ -150,7 +150,7 @@ def test_chi_bounds_surface():
 
 def test_chi_bounds_quintic_inside():
     # chi_top/K^2 = 55/5 = 11 and chi(O)/K^2 = 1 for the quintic
-    res = chi_bounds(2, 1)
+    res = chi_bounds(build_polytope(2, 1))
     numbers = hypersurface_chern_numbers(2, 5)
     k2 = numbers[(1, 1)]
     chi_top = Fraction(numbers[(2,)], k2)

@@ -175,7 +175,7 @@ def test_hrep_json_shape():
 
 
 def test_certificate_serializations():
-    cert = boundedness_certificate(2, 1)
+    cert = boundedness_certificate(build_polytope(2, 1), 1)
     data = certificate_to_json(cert)
     assert data["bounded"] is True
     assert data["coords"][0]["min"] == "-5"

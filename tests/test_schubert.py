@@ -103,6 +103,8 @@ def test_box_truncation():
     box = BoxSpec(2, 2)
     assert multiply(sigma(2), sigma(2), box) == sigma(2, 2)
     assert multiply(sigma(1), sigma(1), box) == sigma(2) + sigma(1, 1)
+    # a box with at least two rows more than the factor
+    assert multiply(sigma(1), sigma(1), box=BoxSpec(3, 3)) == sigma(2) + sigma(1, 1)
     assert pieri_multiply(sigma(2, 1), 1, BoxSpec(2, 3)) == sigma(3, 1) + sigma(2, 2)
     # same product without a box has three terms
     assert len(pieri_multiply(sigma(2, 1), 1).terms) == 3
@@ -124,7 +126,7 @@ def _fitting(box):
     return out
 
 
-@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 2), (4, 2), (3, 3)])
 def test_duality_table_is_kronecker_delta(rows, cols):
     box = BoxSpec(rows, cols)
     classes = _fitting(box)
