@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 for invalid flags or configuration, 2 when a
 pinned reference value mismatches or a polytope coordinate is unbounded
-(the requested output is still written in that case).
+(the requested output is still written in that case), 3 when an internal
+consistency check fails (a bug, reported as "error: internal: ...").
 """
 
 from __future__ import annotations
@@ -103,6 +104,17 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
+def _emit_expr(obj, to_json, render, args) -> int:
+    """Write one expression as JSON, a LaTeX display or plain text."""
+    if args.format == "json":
+        _emit(_dumps(to_json(obj)), args)
+    elif args.format == "latex":
+        _emit(f"\\[ {render(obj, latex=True)} \\]", args)
+    else:
+        _emit(render(obj), args)
+    return 0
+
+
 def _fail(message: str) -> int:
     sys.stderr.write(f"error: {message}\n")
     return 1
@@ -131,6 +143,9 @@ def cmd_generate(args) -> int:
     else:
         _emit("\n".join(render_inequality(i) for i in items), args)
     return 0
+
+
+_CHI_NAMES = ("d1", "d2", "d3", "d4")
 
 
 def cmd_polytope(args) -> int:
@@ -170,12 +185,10 @@ def cmd_polytope(args) -> int:
             doc["certificate"] = certificate_to_json(cert)
         if chi is not None:
             doc["chi"] = {
-                "d1": None if chi.d1 is None else str(chi.d1),
-                "d2": None if chi.d2 is None else str(chi.d2),
-                "d3": None if chi.d3 is None else str(chi.d3),
-                "d4": None if chi.d4 is None else str(chi.d4),
-                "statuses": list(chi.statuses),
+                name: None if value is None else str(value)
+                for name, value in zip(_CHI_NAMES, chi)
             }
+            doc["chi"]["statuses"] = list(chi.statuses)
         _emit(_dumps(doc), args)
     elif args.format == "latex":
         lines = ["\\begin{align*}"]
@@ -199,8 +212,7 @@ def cmd_polytope(args) -> int:
             lines.append(certificate_to_text(cert))
         if chi is not None:
             lines.append("")
-            names = ("d1", "d2", "d3", "d4")
-            for name, value, status in zip(names, chi[:4], chi.statuses):
+            for name, value, status in zip(_CHI_NAMES, chi, chi.statuses):
                 shown = str(value) if status == "optimal" else status
                 lines.append(f"{name} = {shown}")
         _emit("\n".join(lines), args)
@@ -214,26 +226,13 @@ def cmd_schubert(args) -> int:
             if len(parts) > box.rows or (parts and parts[0] > box.cols):
                 return _fail(f"partition {parts} does not fit in the box")
     product = multiply(sigma(*args.a), sigma(*args.b), box=box)
-    if args.format == "json":
-        _emit(_dumps(schubert_to_json(product)), args)
-    elif args.format == "latex":
-        _emit(f"\\[ {render_schubert(product, latex=True)} \\]", args)
-    else:
-        _emit(render_schubert(product), args)
-    return 0
+    return _emit_expr(product, schubert_to_json, render_schubert, args)
 
 
 def cmd_sigma_to_chern(args) -> int:
     if args.w < 1:
         return _fail("weight must be positive")
-    poly = special_to_chern_s(args.w)
-    if args.format == "json":
-        _emit(_dumps(chern_to_json(poly)), args)
-    elif args.format == "latex":
-        _emit(f"\\[ {render_chern(poly, latex=True)} \\]", args)
-    else:
-        _emit(render_chern(poly), args)
-    return 0
+    return _emit_expr(special_to_chern_s(args.w), chern_to_json, render_chern, args)
 
 
 def cmd_gauss_chern(args) -> int:
@@ -241,27 +240,13 @@ def cmd_gauss_chern(args) -> int:
         return _fail("--n must be positive")
     if not 0 <= args.p <= args.n:
         return _fail("--p must satisfy 0 <= p <= n")
-    poly = gauss_pullback_chern(args.n, args.p)
-    if args.format == "json":
-        _emit(_dumps(chern_to_json(poly)), args)
-    elif args.format == "latex":
-        _emit(f"\\[ {render_chern(poly, latex=True)} \\]", args)
-    else:
-        _emit(render_chern(poly), args)
-    return 0
+    return _emit_expr(gauss_pullback_chern(args.n, args.p), chern_to_json, render_chern, args)
 
 
 def cmd_todd(args) -> int:
     if args.d < 1:
         return _fail("degree must be positive")
-    poly = todd_polynomial(args.d)
-    if args.format == "json":
-        _emit(_dumps({"degree": poly.degree, "terms": chern_to_json(poly.body)["terms"]}), args)
-    elif args.format == "latex":
-        _emit(f"\\[ {render_chern(poly.body, latex=True)} \\]", args)
-    else:
-        _emit(render_chern(poly.body), args)
-    return 0
+    return _emit_expr(todd_polynomial(args.d).body, chern_to_json, render_chern, args)
 
 
 def cmd_verify_paper(args) -> int:
@@ -362,6 +347,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         return _fail(str(exc))
+    except RuntimeError as exc:
+        sys.stderr.write(f"error: internal: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

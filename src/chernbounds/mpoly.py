@@ -160,7 +160,7 @@ M = MPoly((0, 1))
 
 
 def rational_content(values) -> Fraction:
-    """gcd of a collection of Fractions: gcd of numerators / lcm of denominators."""
+    """gcd of exact values (int or Fraction): gcd of numerators / lcm of denominators."""
     num, den = 0, 1
     for v in values:
         v = _exact(v)

@@ -2,9 +2,11 @@
 
 All three formats are deterministic: terms are ordered by monomial length
 descending, then alphabet descending, and rationals are printed exactly
-("p" or "p/q", never floats).  The JSON emitters return plain dicts; their
-parse_* inverses rebuild the original objects, so emit/parse round-trips
-are identities.
+("p" or "p/q", never floats).  Signed sums are joined in one place,
+`_signed_sum`, and coefficients in front of a label are printed in one
+place, `_scaled`.  The JSON emitters return plain dicts; their parse_*
+inverses rebuild the original objects, so emit/parse round-trips are
+identities.
 """
 
 from __future__ import annotations
@@ -47,33 +49,33 @@ def _frac_str(v: Fraction, latex: bool) -> str:
     return str(v)
 
 
+def _signed_sum(terms) -> str:
+    """Join (value, body) pairs as `a + b - c`, each sign taken from value."""
+    text = "".join((" - " if v < 0 else " + ") + body for v, body in terms)
+    if not text:
+        return "0"
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
+
+def _scaled(mag, label: str, latex: bool, star: bool = True) -> str:
+    """A nonnegative magnitude in front of a label; a unit magnitude is dropped."""
+    if not label:
+        return _frac_str(mag, latex)
+    if mag == 1:
+        return label
+    coeff = _frac_str(mag, latex)
+    if not latex and mag.denominator != 1:
+        coeff = f"({coeff})"
+    return coeff + ("*" if star and not latex else "") + label
+
+
 def render_mpoly(p: MPoly, latex: bool = False) -> str:
     """Polynomial in m, powers descending, exact coefficients."""
-    if not p:
-        return "0"
-    pieces = []
-    first = True
-    for e in range(p.degree, -1, -1):
-        v = p.coeffs[e]
-        if not v:
-            continue
-        mag = abs(v)
-        var = "" if e == 0 else "m" + _exp(e, latex)
-        if var and mag == 1:
-            body = var
-        elif var:
-            coeff = _frac_str(mag, latex)
-            if not latex and mag.denominator != 1:
-                coeff = f"({coeff})"
-            body = coeff + var
-        else:
-            body = _frac_str(mag, latex)
-        if first:
-            pieces.append(("-" if v < 0 else "") + body)
-            first = False
-        else:
-            pieces.append((" - " if v < 0 else " + ") + body)
-    return "".join(pieces)
+    return _signed_sum(
+        (v, _scaled(abs(v), "m" + _exp(e, latex) if e else "", latex, star=False))
+        for e, v in reversed(list(enumerate(p.coeffs)))
+        if v
+    )
 
 
 def _monomial_str(mono: Monomial, variables: str, latex: bool) -> str:
@@ -104,55 +106,40 @@ def _coeff_prefix(coeff: MPoly, latex: bool) -> tuple[int, str]:
     return sign, body
 
 
+def _chern_term(coeff: MPoly, ms: str, latex: bool) -> tuple[int, str]:
+    if not ms:
+        return 1, render_mpoly(coeff, latex)
+    sign, prefix = _coeff_prefix(coeff, latex)
+    return sign, prefix + ("*" if prefix and not latex else "") + ms
+
+
 def render_chern(poly: ChernPoly, latex: bool = False) -> str:
-    if not poly.terms:
-        return "0"
-    out = []
-    first = True
-    for mono in sorted(poly.terms, key=_term_sort_key):
-        coeff = poly.terms[mono]
-        ms = _monomial_str(mono, poly.variables, latex)
-        if not ms:
-            sign = 1
-            body = render_mpoly(coeff, latex)
-        else:
-            sign, body = _coeff_prefix(coeff, latex)
-            if body and not latex:
-                body += "*"
-            body += ms
-        if first:
-            out.append(("-" if sign < 0 else "") + body)
-            first = False
-        else:
-            out.append((" - " if sign < 0 else " + ") + body)
-    return "".join(out)
+    return _signed_sum(
+        _chern_term(poly.terms[mono], _monomial_str(mono, poly.variables, latex), latex)
+        for mono in sorted(poly.terms, key=_term_sort_key)
+    )
+
+
+def _schubert_label(part: Partition, latex: bool) -> str:
+    if not part:
+        return ""
+    inner = ",".join(str(p) for p in part)
+    return f"\\sigma_{{{inner}}}" if latex else f"s({inner})"
 
 
 def render_schubert(expr: SchubertExpr, latex: bool = False) -> str:
-    if expr.is_zero():
-        return "0"
-    out = []
-    first = True
-    for part in sorted(expr.terms, reverse=True):
-        c = expr.terms[part]
-        mag = abs(c)
-        if not part:
-            body = str(mag)
-        else:
-            inner = ",".join(str(p) for p in part)
-            label = f"\\sigma_{{{inner}}}" if latex else f"s({inner})"
-            if mag == 1:
-                body = label
-            elif latex:
-                body = f"{mag}{label}"
-            else:
-                body = f"{mag}*{label}"
-        if first:
-            out.append(("-" if c < 0 else "") + body)
-            first = False
-        else:
-            out.append((" - " if c < 0 else " + ") + body)
-    return "".join(out)
+    return _signed_sum(
+        (c, _scaled(abs(c), _schubert_label(part, latex), latex))
+        for part, c in sorted(expr.terms.items(), reverse=True)
+    )
+
+
+def render_products(prods: dict) -> str:
+    """Products of special classes, such as `2*s(3) - s(2)*s(1)`; `()` is the unit."""
+    return _signed_sum(
+        (c, _scaled(abs(c), "*".join(f"s({i})" for i in prod), False))
+        for prod, c in sorted(prods.items(), reverse=True)
+    )
 
 
 def coordinate_label(part: Partition, latex: bool = False) -> str:
@@ -161,32 +148,14 @@ def coordinate_label(part: Partition, latex: bool = False) -> str:
 
 
 def render_ratio_row(row: RatioInequality, coords: list[Partition], latex: bool = False) -> str:
-    pieces = []
-    first = True
-    for part, v in zip(coords, row.coeffs):
-        if not v:
-            continue
-        mag = abs(v)
-        body = coordinate_label(part, latex)
-        if mag != 1:
-            coeff = _frac_str(mag, latex)
-            if not latex and mag.denominator != 1:
-                coeff = f"({coeff})"
-            body = coeff + ("" if latex else "*") + body
-        if first:
-            pieces.append(("-" if v < 0 else "") + body)
-            first = False
-        else:
-            pieces.append((" - " if v < 0 else " + ") + body)
-    if row.constant or first:
-        v = row.constant
-        body = _frac_str(abs(v), latex)
-        if first:
-            pieces.append(("-" if v < 0 else "") + body)
-        else:
-            pieces.append((" - " if v < 0 else " + ") + body)
-    tail = " \\ge 0" if latex else " >= 0"
-    return "".join(pieces) + tail
+    terms = [
+        (v, _scaled(abs(v), coordinate_label(part, latex), latex))
+        for part, v in zip(coords, row.coeffs)
+        if v
+    ]
+    if row.constant:
+        terms.append((row.constant, _frac_str(abs(row.constant), latex)))
+    return _signed_sum(terms) + (" \\ge 0" if latex else " >= 0")
 
 
 def describe_provenance(prov: Provenance) -> str:
@@ -289,13 +258,6 @@ def hrep_to_json(n: int, m_value: int, mode: str, coords, rows) -> dict:
             for row in rows
         ],
     }
-
-
-def _bound_json(value, status, ray) -> dict:
-    out = {"value": None if value is None else str(value), "status": status}
-    if ray is not None:
-        out["ray"] = [str(v) for v in ray]
-    return out
 
 
 def certificate_to_json(cert: BoundsCertificate) -> dict:

@@ -33,7 +33,7 @@ from .inequalities import (
 )
 from .mpoly import M, MPoly
 from .partitions import Partition, enumerate_partitions
-from .render import render_chern, render_schubert
+from .render import render_chern, render_products, render_schubert
 from .schubert import (
     BoxSpec,
     SchubertExpr,
@@ -63,25 +63,6 @@ def _cp(terms, variables: str = "x") -> ChernPoly:
     return total
 
 
-def _render_products(prods: dict) -> str:
-    if not prods:
-        return "0"
-    bits = []
-    first = True
-    for prod in sorted(prods, reverse=True):
-        c = prods[prod]
-        mag = abs(c)
-        body = "*".join(f"s({i})" for i in prod) if prod else "1"
-        if mag != 1 or not prod:
-            body = f"{mag}*{body}" if prod else str(mag)
-        if first:
-            bits.append(("-" if c < 0 else "") + body)
-            first = False
-        else:
-            bits.append((" - " if c < 0 else " + ") + body)
-    return "".join(bits)
-
-
 def _render(obj) -> str:
     if isinstance(obj, ChernPoly):
         return render_chern(obj)
@@ -92,7 +73,7 @@ def _render(obj) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, dict):
-        return _render_products(obj)
+        return render_products(obj)
     return str(obj)
 
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import chernbounds.cli
 import chernbounds.polytope
 from chernbounds.cli import main
 from chernbounds.inequalities import generate_all, specialize
@@ -206,6 +207,17 @@ def test_unknown_command_exits_1(capsys):
 
 def test_missing_required_exits_1(capsys):
     assert run_cli(capsys, "gauss-chern", "--n", "4")[0] == 1
+
+
+def test_internal_failure_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("constant row with negative constant")
+
+    monkeypatch.setattr(chernbounds.cli, "build_polytope", broken)
+    code, out, err = run_cli(capsys, "polytope", "--n", "2", "--bounds")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: constant row with negative constant\n"
 
 
 def test_output_file(tmp_path, capsys):

@@ -33,6 +33,7 @@ from chernbounds.render import (
     render_chern,
     render_inequality,
     render_mpoly,
+    render_products,
     render_ratio_row,
     render_schubert,
     schubert_to_json,
@@ -95,6 +96,11 @@ def test_render_schubert():
     )
     assert render_schubert(sigma() * 0) == "0"
     assert render_schubert(2 * sigma(1)) == "2*s(1)"
+    assert render_schubert(2 * sigma(1), latex=True) == "2\\sigma_{1}"
+    assert render_products({}) == "0"
+    assert render_products({(): 1}) == "1"
+    assert render_products({(1, 1): 1, (2,): -1}) == "-s(2) + s(1)*s(1)"
+    assert render_products({(3,): -2, (2, 1): 3, (): -1}) == "-2*s(3) + 3*s(2)*s(1) - 1"
 
 
 def test_coordinate_label():
@@ -110,6 +116,11 @@ def test_render_ratio_row():
     assert render_ratio_row(row2, coords) == "-t[2] + 171 >= 0"
     row3 = RatioInequality(2, (Fraction(0),), Fraction(4))
     assert render_ratio_row(row3, coords) == "4 >= 0"
+    half = RatioInequality(2, (Fraction(1, 2),), Fraction(-3, 4))
+    assert render_ratio_row(half, coords) == "(1/2)*t[2] - 3/4 >= 0"
+    assert render_ratio_row(half, coords, latex=True) == "\\tfrac{1}{2}t_{2} - \\tfrac{3}{4} \\ge 0"
+    zero = RatioInequality(2, (Fraction(0),), Fraction(0))
+    assert render_ratio_row(zero, coords) == "0 >= 0"
 
 
 def test_describe_provenance():
