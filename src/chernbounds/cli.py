@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 for invalid flags or configuration, 2 when a
-pinned reference value mismatches or a polytope coordinate is unbounded
-(the requested output is still written in that case), 3 when an internal
-consistency check fails (a bug, reported as "error: internal: ...").
+Exit codes: 0 on success, 1 for invalid flags or configuration or an
+unwritable --output path, 2 when a pinned reference value mismatches or a
+polytope coordinate is unbounded (the requested output is still written in
+that case), 3 when an internal consistency check fails (a bug, reported as
+"error: internal: ...").
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .polytope import (
     build_polytope,
     chi_bounds,
     ratio_coordinates,
+    schubert_vertices,
 )
 from .render import (
     certificate_to_json,
@@ -94,8 +96,11 @@ def _add_output_options(p: argparse.ArgumentParser):
 def _emit(text: str, args) -> None:
     data = text if text.endswith("\n") else text + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(data)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(data)
 
@@ -170,12 +175,13 @@ def cmd_polytope(args) -> int:
     cert = None
     chi = None
     code = 0
+    vertices = schubert_vertices(args.n, m_value) if args.bounds or args.chi else None
     if args.bounds:
-        cert = boundedness_certificate(rows, m_value, args.mode)
+        cert = boundedness_certificate(rows, m_value, args.mode, vertices)
         if not cert.bounded:
             code = 2
     if args.chi:
-        chi = chi_bounds(rows)
+        chi = chi_bounds(rows, vertices)
         if any(s != "optimal" for s in chi.statuses):
             code = 2
 

@@ -4,14 +4,22 @@ Coordinates are the ratios c_q / c_1^n indexed by weight-n partitions q
 other than the all-ones one, listed in ascending alphabet order.  After
 specializing m, each inequality divides by c_1^n; c_1^n has sign (-1)^n for
 general type and +1 for Fano, so rows are multiplied by that sign to keep
-the >= 0 direction.  Bounds on each coordinate come from exact rational LP.
+the >= 0 direction.  Every row is a nonnegative combination of the
+pulled-back Schubert rows, so the polytope is the simplex whose vertices
+schubert_vertices writes down in closed form.  Bounds are the min and max
+over those vertices once a two-part guard (_guarded) proves that the rows cut
+out exactly that simplex; otherwise, and by default, they come from exact
+rational LP.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from .chern import ChernPoly, chern_s_to_schubert, cmono, cvar, gauss_pullback_chern, substitute
 from .inequalities import Inequality, generate_all, specialize
 from .lp import simplex_max
 from .mpoly import rational_content
@@ -99,6 +107,53 @@ def build_polytope(
     return rows
 
 
+_s_to_schubert = functools.cache(chern_s_to_schubert)
+
+
+def _chern_in_schubert(n: int, m_value: int) -> dict[Partition, dict[Partition, Fraction]]:
+    """A[q][lam] with c_q = sum over lam of A[q][lam] * g*sigma_lam, for q |- n.
+
+    The pulled-back c_p is a nonzero constant times c_p plus terms in
+    c_1..c_{p-1}, so the Gauss substitution inverts triangularly at the
+    numeric m.  Each subbundle monomial s^a is (-1)^n chern_s_to_schubert(a),
+    which does not depend on m and is cached per partition.
+    """
+    sign = -1 if n % 2 else 1
+    inverse: dict[int, ChernPoly] = {}
+    for p in range(1, n + 1):
+        pulled = gauss_pullback_chern(n, p).specialize_m(m_value)
+        lead = pulled.coeff((p,)).constant_value()
+        lower = substitute(pulled - cmono((p,), lead), inverse.__getitem__, variables="s")
+        inverse[p] = (cvar(p, "s") - lower) * Fraction(1, lead)
+    table = {}
+    for q in enumerate_partitions(n):
+        in_s = math.prod((inverse[part] for part in q), start=ChernPoly.one("s"))
+        row: dict[Partition, Fraction] = {}
+        for mono, coeff in in_s.terms.items():
+            for lam, k in _s_to_schubert(mono.parts).terms.items():
+                row[lam] = row.get(lam, 0) + sign * k * coeff.constant_value()
+        table[q] = row
+    return table
+
+
+def schubert_vertices(n: int, m_value: int) -> list[tuple[Fraction, ...]]:
+    """Vertices of the simplex cut out by the pulled-back Schubert classes.
+
+    Vertex lam, in enumerate_partitions(n) order, is where every g*sigma_mu
+    but g*sigma_lam vanishes, so its ratio coordinates are
+    A[q][lam] / A[1^n][lam].  The denominator is (-1)^n f^lam / D^n, with
+    f^lam > 0 the number of standard tableaux of shape lam and
+    D = 1 + (n+1)m != 0, so every vertex exists.
+    """
+    table = _chern_in_schubert(n, m_value)
+    ones = table[Partition([1] * n)]
+    coords = ratio_coordinates(n)
+    return [
+        tuple(Fraction(table[q].get(lam, 0)) / ones[lam] for q in coords)
+        for lam in enumerate_partitions(n)
+    ]
+
+
 class LpResult(NamedTuple):
     status: str
     value: Fraction | None = None
@@ -143,6 +198,33 @@ def lp_optimize(
     return LpResult("infeasible", farkas=res.farkas)
 
 
+def _guarded(rows: list[RatioInequality], vertices):
+    """`vertices` if the rows cut out exactly their simplex, else None.
+
+    (a) Every row is >= 0 at every vertex, so the simplex lies in the
+    polytope.  (b) For each vertex some row vanishes at all the others and
+    is positive there; that row is a positive multiple of the vertex's
+    barycentric coordinate (which forces the k + 1 vertices to be affinely
+    independent), so the polytope lies in the simplex.
+    """
+    k = len(rows[0].coeffs)
+    if vertices is None or len(vertices) != k + 1 or any(len(v) != k for v in vertices):
+        return None
+    values = [[r.constant + sum(c * x for c, x in zip(r.coeffs, v)) for v in vertices] for r in rows]
+    if any(x < 0 for vals in values for x in vals):
+        return None
+    facets = all(any(vals[j] > 0 and sum(map(bool, vals)) == 1 for vals in values) for j in range(k + 1))
+    return vertices if facets else None
+
+
+def _min_max(rows: list[RatioInequality], objective, vertices) -> tuple[LpResult, LpResult]:
+    """Min and max of a linear functional: over guarded vertices, else by LP."""
+    if vertices is None:
+        return lp_optimize(rows, objective, "min"), lp_optimize(rows, objective, "max")
+    values = [sum(c * x for c, x in zip(objective, v)) for v in vertices]
+    return LpResult("optimal", min(values)), LpResult("optimal", max(values))
+
+
 class CoordinateBound(NamedTuple):
     partition: Partition
     minimum: Fraction | None
@@ -162,21 +244,23 @@ class BoundsCertificate(NamedTuple):
 
 
 def boundedness_certificate(
-    rows: list[RatioInequality], m_value: int, mode: str = GENERAL_TYPE
+    rows: list[RatioInequality], m_value: int, mode: str = GENERAL_TYPE, vertices=None
 ) -> BoundsCertificate:
     """Exact min and max of every ratio coordinate over the polytope.
 
-    `rows` is the output of build_polytope at the same m and mode.
+    `rows` is the output of build_polytope at the same m and mode.  With
+    `vertices` (schubert_vertices at that m) the bounds are read off the
+    vertices when the guard in _guarded passes; otherwise the LP runs.
     """
     n = rows[0].n
+    vertices = _guarded(rows, vertices)
     coords = ratio_coordinates(n)
     k = len(coords)
     bounds = []
     all_optimal = True
     for q in range(k):
         unit = tuple(Fraction(1) if j == q else Fraction(0) for j in range(k))
-        low = lp_optimize(rows, unit, "min")
-        high = lp_optimize(rows, unit, "max")
+        low, high = _min_max(rows, unit, vertices)
         if low.status != "optimal" or high.status != "optimal":
             all_optimal = False
         bounds.append(
@@ -201,15 +285,17 @@ class ChiBounds(NamedTuple):
     statuses: tuple[str, str, str, str]
 
 
-def chi_bounds(rows: list[RatioInequality]) -> ChiBounds:
+def chi_bounds(rows: list[RatioInequality], vertices=None) -> ChiBounds:
     """Bounds for the Euler number and the structure-sheaf characteristic.
 
     Both are measured against the n-th power of the (anti)canonical class;
     the conversion factor c_1^n / K^n is (-1)^n in both modes.  d1, d2 bound
     the top Chern class; d3, d4 bound the degree-n piece of the Todd class.
-    `rows` is the output of build_polytope.
+    `rows` is the output of build_polytope; `vertices` is used as in
+    boundedness_certificate.
     """
     n = rows[0].n
+    vertices = _guarded(rows, vertices)
     coords = ratio_coordinates(n)
     sign = -1 if n % 2 else 1
     top = Partition([n])
@@ -223,12 +309,7 @@ def chi_bounds(rows: list[RatioInequality]) -> ChiBounds:
     todd_obj = tuple(sign * todd_vals.get(q, Fraction(0)) for q in coords)
     todd_shift = sign * todd_vals.get(ones, Fraction(0))
 
-    runs = (
-        lp_optimize(rows, top_obj, "min"),
-        lp_optimize(rows, top_obj, "max"),
-        lp_optimize(rows, todd_obj, "min"),
-        lp_optimize(rows, todd_obj, "max"),
-    )
+    runs = _min_max(rows, top_obj, vertices) + _min_max(rows, todd_obj, vertices)
     values = []
     for idx, res in enumerate(runs):
         if res.status != "optimal":

@@ -101,7 +101,7 @@ def _coeff_prefix(coeff: MPoly, latex: bool) -> tuple[int, str]:
     body = render_mpoly(coeff if sign > 0 else -coeff, latex)
     if body == "1":
         return sign, ""
-    if not latex and "/" in body:
+    if not latex and coeff.is_constant() and "/" in body:
         body = f"({body})"
     return sign, body
 

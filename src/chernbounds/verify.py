@@ -232,6 +232,18 @@ def section_n3() -> list[CheckResult]:
 
 
 def section_n4() -> list[CheckResult]:
+    # printed factored forms of the four pullback classes
+    g1p = _cp([((1,), (1, 5))])
+    g2p = _cp([((1, 1), (0, 4, 10)), ((2,), 1)])
+    g3p = _cp([((1, 1, 1), (0, 0, 6, 10)), ((2, 1), (0, 3)), ((3,), 1)])
+    g4p = _cp(
+        [
+            ((1, 1, 1, 1), (0, 0, 0, 4, 5)),
+            ((2, 1, 1), (0, 0, 3)),
+            ((3, 1), (0, 2)),
+            ((4,), 1),
+        ]
+    )
     g2 = gauss_pullback_chern(4, 2)
     g3 = gauss_pullback_chern(4, 3)
     checks = [
@@ -252,33 +264,10 @@ def section_n4() -> list[CheckResult]:
             ),
             tuple(tangent_twisted_chern(4, p) for p in range(1, 5)),
         ),
-        _check(
-            "pullback class, p=1",
-            _cp([((1,), (1, 5))]),
-            gauss_pullback_chern(4, 1),
-        ),
-        _check(
-            "pullback class, p=2",
-            _cp([((1, 1), (0, 4, 10)), ((2,), 1)]),
-            g2,
-        ),
-        _check(
-            "pullback class, p=3",
-            _cp([((1, 1, 1), (0, 0, 6, 10)), ((2, 1), (0, 3)), ((3,), 1)]),
-            g3,
-        ),
-        _check(
-            "pullback class, p=4",
-            _cp(
-                [
-                    ((1, 1, 1, 1), (0, 0, 0, 4, 5)),
-                    ((2, 1, 1), (0, 0, 3)),
-                    ((3, 1), (0, 2)),
-                    ((4,), 1),
-                ]
-            ),
-            gauss_pullback_chern(4, 4),
-        ),
+        _check("pullback class, p=1", g1p, gauss_pullback_chern(4, 1)),
+        _check("pullback class, p=2", g2p, g2),
+        _check("pullback class, p=3", g3p, g3),
+        _check("pullback class, p=4", g4p, gauss_pullback_chern(4, 4)),
         _check(
             "one-column class (1,1,1,1) in subbundle classes",
             _cp([((4,), 1)], "s"),
@@ -300,19 +289,6 @@ def section_n4() -> list[CheckResult]:
             chern_s_to_schubert((3, 1)) - chern_s_to_schubert((4,)),
         ),
     ]
-
-    # printed factored forms of the four pullback classes
-    g1p = _cp([((1,), (1, 5))])
-    g2p = _cp([((1, 1), (0, 4, 10)), ((2,), 1)])
-    g3p = _cp([((1, 1, 1), (0, 0, 6, 10)), ((2, 1), (0, 3)), ((3,), 1)])
-    g4p = _cp(
-        [
-            ((1, 1, 1, 1), (0, 0, 0, 4, 5)),
-            ((2, 1, 1), (0, 0, 3)),
-            ((3, 1), (0, 2)),
-            ((4,), 1),
-        ]
-    )
 
     items = generate_all(4)
     comps = comparison_inequalities(4)

@@ -231,6 +231,14 @@ def test_output_file(tmp_path, capsys):
     assert doc["count"] == 3
 
 
+def test_output_to_unwritable_path_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, "polytope", "--n", "3", "--m", "1", "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_byte_determinism(capsys):
     first = run_cli(capsys, "polytope", "--n", "3", "--m", "1", "--bounds", "--chi", "--format", "json")
     second = run_cli(capsys, "polytope", "--n", "3", "--m", "1", "--bounds", "--chi", "--format", "json")

@@ -6,23 +6,29 @@ every generated halfspace, with the known extremal cases sitting exactly
 on the boundary.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
+import chernbounds.polytope
 from chernbounds import (
     FANO,
     GENERAL_TYPE,
     Partition,
+    RatioInequality,
     boundedness_certificate,
     build_polytope,
     chi_bounds,
     effective_inequality,
+    enumerate_partitions,
     lp_optimize,
     normalize_to_ratio,
     ratio_coordinates,
+    schubert_vertices,
     specialize,
 )
+from chernbounds.polytope import _chern_in_schubert
 
 from oracles import HAVE_SCIPY, float_lp, hypersurface_chern_numbers
 
@@ -205,3 +211,64 @@ def test_float_solver_agrees_on_threefold():
             status, value = float_lp(rows, unit, direction)
             assert status == exact.status == "optimal"
             assert abs(float(exact.value) - value) < 1e-7
+
+
+def _no_simplex(*args):
+    raise AssertionError("exact simplex called on the vertex path")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("m_value, mode", [(2, GENERAL_TYPE), (-2, FANO)])
+def test_vertex_bounds_equal_lp_bounds(n, m_value, mode, monkeypatch):
+    rows = build_polytope(n, m_value, mode)
+    vertices = schubert_vertices(n, m_value)
+    with monkeypatch.context() as patch:
+        patch.setattr(chernbounds.polytope, "simplex_max", _no_simplex)
+        fast = boundedness_certificate(rows, m_value, mode, vertices)
+        fast_chi = chi_bounds(rows, vertices)
+    assert fast == boundedness_certificate(rows, m_value, mode)
+    assert fast_chi == chi_bounds(rows)
+
+
+def _standard_tableaux(lam):
+    conj = lam.conjugate()
+    hooks = math.prod(lam[i] - j + conj[j] - i - 1 for i in range(len(lam)) for j in range(lam[i]))
+    return math.factorial(lam.weight) // hooks
+
+
+@pytest.mark.parametrize("m_value", [3, -1])
+def test_ones_denominators_are_standard_tableau_counts(m_value):
+    # c_1^n = sum over lam of (-1)^n f^lam / D^n g*sigma_lam, D = 1 + (n+1)m
+    for n in range(2, 9):
+        d = 1 + (n + 1) * m_value
+        ones = _chern_in_schubert(n, m_value)[Partition([1] * n)]
+        expected = {lam: Fraction((-1) ** n * _standard_tableaux(lam), d**n) for lam in enumerate_partitions(n)}
+        assert ones == expected
+
+
+def test_vertex_cut_off_falls_back_to_lp():
+    rows = build_polytope(3, 1)
+    vertices = schubert_vertices(3, 1)
+    top = max(v[1] for v in vertices)
+    # t[3] <= top - 1 cuts off the vertex where t[3] is largest
+    cut = rows + [RatioInequality(3, (Fraction(0), Fraction(-1)), top - 1)]
+    cert = boundedness_certificate(cut, 1, GENERAL_TYPE, vertices)
+    assert cert == boundedness_certificate(cut, 1)
+    assert cert.coordinates[1].maximum == top - 1
+    assert chi_bounds(cut, vertices) == chi_bounds(cut)
+
+
+def test_missing_schubert_row_falls_back_to_lp():
+    rows = build_polytope(3, 1)
+    vertices = schubert_vertices(3, 1)
+
+    def support(row):
+        return [row.constant + sum(c * x for c, x in zip(row.coeffs, v)) != 0 for v in vertices]
+
+    # drop the facet opposite the first vertex: the row that is nonzero only there
+    facet = next(r for r in rows if support(r) == [True] + [False] * (len(vertices) - 1))
+    reduced = [r for r in rows if r != facet]
+    cert = boundedness_certificate(reduced, 1, GENERAL_TYPE, vertices)
+    assert cert == boundedness_certificate(reduced, 1)
+    assert cert != boundedness_certificate(rows, 1, GENERAL_TYPE, vertices)
+    assert chi_bounds(reduced, vertices) == chi_bounds(reduced)

@@ -88,6 +88,12 @@ def test_render_todd_fraction():
     )
 
 
+def test_render_chern_single_fractional_term_in_m():
+    poly = cmono((1, 1, 1), mp(0, 0, Fraction(-3, 2)))
+    assert render_chern(poly) == "-(3/2)m^2*c1^3"
+    assert render_chern(poly, latex=True) == "-\\tfrac{3}{2}m^2c_1^3"
+
+
 def test_render_schubert():
     expr = sigma(3, 1) + sigma(2, 2) + sigma(2, 1, 1)
     assert render_schubert(expr) == "s(3,1) + s(2,2) + s(2,1,1)"
