@@ -21,7 +21,6 @@ from .polytope import (
     build_polytope,
     chi_bounds,
     ratio_coordinates,
-    schubert_vertices,
 )
 from .render import (
     certificate_to_json,
@@ -175,13 +174,12 @@ def cmd_polytope(args) -> int:
     cert = None
     chi = None
     code = 0
-    vertices = schubert_vertices(args.n, m_value) if args.bounds or args.chi else None
     if args.bounds:
-        cert = boundedness_certificate(rows, m_value, args.mode, vertices)
+        cert = boundedness_certificate(rows, m_value, args.mode)
         if not cert.bounded:
             code = 2
     if args.chi:
-        chi = chi_bounds(rows, vertices)
+        chi = chi_bounds(rows, m_value)
         if any(s != "optimal" for s in chi.statuses):
             code = 2
 

@@ -7,9 +7,8 @@ general type and +1 for Fano, so rows are multiplied by that sign to keep
 the >= 0 direction.  Every row is a nonnegative combination of the
 pulled-back Schubert rows, so the polytope is the simplex whose vertices
 schubert_vertices writes down in closed form.  Bounds are the min and max
-over those vertices once a two-part guard (_guarded) proves that the rows cut
-out exactly that simplex; otherwise, and by default, they come from exact
-rational LP.
+over those vertices once a two-part guard (_simplex_vertices) proves that the
+rows cut out exactly that simplex; otherwise they come from exact rational LP.
 """
 
 from __future__ import annotations
@@ -198,23 +197,27 @@ def lp_optimize(
     return LpResult("infeasible", farkas=res.farkas)
 
 
-def _guarded(rows: list[RatioInequality], vertices):
-    """`vertices` if the rows cut out exactly their simplex, else None.
+@functools.lru_cache(maxsize=1)
+def _simplex_vertices(rows: tuple[RatioInequality, ...], m_value: int):
+    """schubert_vertices at m_value if the rows cut out exactly that simplex, else None.
 
     (a) Every row is >= 0 at every vertex, so the simplex lies in the
     polytope.  (b) For each vertex some row vanishes at all the others and
     is positive there; that row is a positive multiple of the vertex's
-    barycentric coordinate (which forces the k + 1 vertices to be affinely
-    independent), so the polytope lies in the simplex.
+    barycentric coordinate (which forces the vertices to be affinely
+    independent), so the polytope lies in the simplex.  The last row set is
+    cached, so bounds and chi on the same rows check it once.
     """
-    k = len(rows[0].coeffs)
-    if vertices is None or len(vertices) != k + 1 or any(len(v) != k for v in vertices):
-        return None
-    values = [[r.constant + sum(c * x for c, x in zip(r.coeffs, v)) for v in vertices] for r in rows]
-    if any(x < 0 for vals in values for x in vals):
-        return None
-    facets = all(any(vals[j] > 0 and sum(map(bool, vals)) == 1 for vals in values) for j in range(k + 1))
-    return vertices if facets else None
+    vertices = schubert_vertices(rows[0].n, m_value)
+    facets = set()
+    for r in rows:
+        vals = [r.constant + sum(c * x for c, x in zip(r.coeffs, v)) for v in vertices]
+        if any(x < 0 for x in vals):
+            return None
+        support = [j for j, x in enumerate(vals) if x]
+        if len(support) == 1:
+            facets.update(support)
+    return vertices if len(facets) == len(vertices) else None
 
 
 def _min_max(rows: list[RatioInequality], objective, vertices) -> tuple[LpResult, LpResult]:
@@ -244,16 +247,16 @@ class BoundsCertificate(NamedTuple):
 
 
 def boundedness_certificate(
-    rows: list[RatioInequality], m_value: int, mode: str = GENERAL_TYPE, vertices=None
+    rows: list[RatioInequality], m_value: int, mode: str = GENERAL_TYPE
 ) -> BoundsCertificate:
     """Exact min and max of every ratio coordinate over the polytope.
 
-    `rows` is the output of build_polytope at the same m and mode.  With
-    `vertices` (schubert_vertices at that m) the bounds are read off the
-    vertices when the guard in _guarded passes; otherwise the LP runs.
+    `rows` is the output of build_polytope at the same m and mode.  The
+    bounds are read off schubert_vertices when the guard in
+    _simplex_vertices passes; otherwise the LP runs.
     """
     n = rows[0].n
-    vertices = _guarded(rows, vertices)
+    vertices = _simplex_vertices(tuple(rows), m_value)
     coords = ratio_coordinates(n)
     k = len(coords)
     bounds = []
@@ -285,17 +288,17 @@ class ChiBounds(NamedTuple):
     statuses: tuple[str, str, str, str]
 
 
-def chi_bounds(rows: list[RatioInequality], vertices=None) -> ChiBounds:
+def chi_bounds(rows: list[RatioInequality], m_value: int) -> ChiBounds:
     """Bounds for the Euler number and the structure-sheaf characteristic.
 
     Both are measured against the n-th power of the (anti)canonical class;
     the conversion factor c_1^n / K^n is (-1)^n in both modes.  d1, d2 bound
     the top Chern class; d3, d4 bound the degree-n piece of the Todd class.
-    `rows` is the output of build_polytope; `vertices` is used as in
-    boundedness_certificate.
+    `rows` is the output of build_polytope at m_value; the vertex path and
+    LP fallback are as in boundedness_certificate.
     """
     n = rows[0].n
-    vertices = _guarded(rows, vertices)
+    vertices = _simplex_vertices(tuple(rows), m_value)
     coords = ratio_coordinates(n)
     sign = -1 if n % 2 else 1
     top = Partition([n])

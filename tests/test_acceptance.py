@@ -204,7 +204,7 @@ def test_10_characteristic_bounds():
     assert chi_structure_sheaf_functional(2) == (
         cmono([1, 1], Fraction(1, 12)) + cmono([2], Fraction(1, 12))
     )
-    res = chi_bounds(build_polytope(2, 1))
+    res = chi_bounds(build_polytope(2, 1), 1)
     assert res.statuses == ("optimal",) * 4
     assert (res.d1, res.d2, res.d3, res.d4) == (-5, 11, Fraction(-1, 3), 1)
     print("PASS 10 characteristic bounds: d1=-5 d2=11 d3=-1/3 d4=1, exact")

@@ -25,10 +25,9 @@ from chernbounds import (
     lp_optimize,
     normalize_to_ratio,
     ratio_coordinates,
-    schubert_vertices,
     specialize,
 )
-from chernbounds.polytope import _chern_in_schubert
+from chernbounds.polytope import _chern_in_schubert, schubert_vertices
 
 from oracles import HAVE_SCIPY, float_lp, hypersurface_chern_numbers
 
@@ -148,7 +147,7 @@ def test_comparisons_only_tighten():
 
 
 def test_chi_bounds_surface():
-    res = chi_bounds(build_polytope(2, 1))
+    res = chi_bounds(build_polytope(2, 1), 1)
     assert res.statuses == ("optimal",) * 4
     assert (res.d1, res.d2) == (-5, 11)
     assert (res.d3, res.d4) == (Fraction(-1, 3), 1)
@@ -156,7 +155,7 @@ def test_chi_bounds_surface():
 
 def test_chi_bounds_quintic_inside():
     # chi_top/K^2 = 55/5 = 11 and chi(O)/K^2 = 1 for the quintic
-    res = chi_bounds(build_polytope(2, 1))
+    res = chi_bounds(build_polytope(2, 1), 1)
     numbers = hypersurface_chern_numbers(2, 5)
     k2 = numbers[(1, 1)]
     chi_top = Fraction(numbers[(2,)], k2)
@@ -217,17 +216,33 @@ def _no_simplex(*args):
     raise AssertionError("exact simplex called on the vertex path")
 
 
+def _lp_bounds(rows):
+    k = len(rows[0].coeffs)
+    units = [tuple(Fraction(int(j == q)) for j in range(k)) for q in range(k)]
+    return [(lp_optimize(rows, u, "min").value, lp_optimize(rows, u, "max").value) for u in units]
+
+
+def _bounds(cert):
+    return [(b.minimum, b.maximum) for b in cert.coordinates]
+
+
+def _lp_chi(rows, m_value, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(chernbounds.polytope, "_simplex_vertices", lambda rows, m_value: None)
+        return chi_bounds(rows, m_value)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("m_value, mode", [(2, GENERAL_TYPE), (-2, FANO)])
 def test_vertex_bounds_equal_lp_bounds(n, m_value, mode, monkeypatch):
     rows = build_polytope(n, m_value, mode)
-    vertices = schubert_vertices(n, m_value)
     with monkeypatch.context() as patch:
         patch.setattr(chernbounds.polytope, "simplex_max", _no_simplex)
-        fast = boundedness_certificate(rows, m_value, mode, vertices)
-        fast_chi = chi_bounds(rows, vertices)
-    assert fast == boundedness_certificate(rows, m_value, mode)
-    assert fast_chi == chi_bounds(rows)
+        cert = boundedness_certificate(rows, m_value, mode)
+        chi = chi_bounds(rows, m_value)
+    assert cert.bounded
+    assert _bounds(cert) == _lp_bounds(rows)
+    assert chi == _lp_chi(rows, m_value, monkeypatch)
 
 
 def _standard_tableaux(lam):
@@ -246,19 +261,18 @@ def test_ones_denominators_are_standard_tableau_counts(m_value):
         assert ones == expected
 
 
-def test_vertex_cut_off_falls_back_to_lp():
-    rows = build_polytope(3, 1)
+def test_vertex_cut_off_falls_back_to_lp(monkeypatch):
     vertices = schubert_vertices(3, 1)
     top = max(v[1] for v in vertices)
     # t[3] <= top - 1 cuts off the vertex where t[3] is largest
-    cut = rows + [RatioInequality(3, (Fraction(0), Fraction(-1)), top - 1)]
-    cert = boundedness_certificate(cut, 1, GENERAL_TYPE, vertices)
-    assert cert == boundedness_certificate(cut, 1)
+    cut = build_polytope(3, 1) + [RatioInequality(3, (Fraction(0), Fraction(-1)), top - 1)]
+    cert = boundedness_certificate(cut, 1)
+    assert _bounds(cert) == _lp_bounds(cut)
     assert cert.coordinates[1].maximum == top - 1
-    assert chi_bounds(cut, vertices) == chi_bounds(cut)
+    assert chi_bounds(cut, 1) == _lp_chi(cut, 1, monkeypatch)
 
 
-def test_missing_schubert_row_falls_back_to_lp():
+def test_missing_schubert_row_falls_back_to_lp(monkeypatch):
     rows = build_polytope(3, 1)
     vertices = schubert_vertices(3, 1)
 
@@ -268,7 +282,7 @@ def test_missing_schubert_row_falls_back_to_lp():
     # drop the facet opposite the first vertex: the row that is nonzero only there
     facet = next(r for r in rows if support(r) == [True] + [False] * (len(vertices) - 1))
     reduced = [r for r in rows if r != facet]
-    cert = boundedness_certificate(reduced, 1, GENERAL_TYPE, vertices)
-    assert cert == boundedness_certificate(reduced, 1)
-    assert cert != boundedness_certificate(rows, 1, GENERAL_TYPE, vertices)
-    assert chi_bounds(reduced, vertices) == chi_bounds(reduced)
+    cert = boundedness_certificate(reduced, 1)
+    assert _bounds(cert) == _lp_bounds(reduced)
+    assert cert != boundedness_certificate(rows, 1)
+    assert chi_bounds(reduced, 1) == _lp_chi(reduced, 1, monkeypatch)
