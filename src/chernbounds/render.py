@@ -18,7 +18,7 @@ from .chern import ChernPoly, Monomial, cmono
 from .inequalities import Inequality, Provenance
 from .mpoly import MPoly
 from .partitions import Partition
-from .polytope import BoundsCertificate, CoordinateBound, RatioInequality
+from .polytope import BoundsCertificate, RatioInequality
 from .schubert import SchubertExpr
 
 _STYLES = {"x": ("c", ""), "s": ("c", "S"), "e": ("c", ""), "a": ("a", "")}
@@ -261,56 +261,39 @@ def hrep_to_json(n: int, m_value: int, mode: str, coords, rows) -> dict:
 
 
 def certificate_to_json(cert: BoundsCertificate) -> dict:
-    coords = []
-    for cb in cert.coordinates:
-        entry = {
+    # every bound is attained at a simplex vertex, so the statuses and
+    # "bounded" are fixed schema values
+    coords = [
+        {
             "partition": list(cb.partition),
-            "min": None if cb.minimum is None else str(cb.minimum),
-            "max": None if cb.maximum is None else str(cb.maximum),
-            "min_status": cb.min_status,
-            "max_status": cb.max_status,
+            "min": str(cb.minimum),
+            "max": str(cb.maximum),
+            "min_status": "optimal",
+            "max_status": "optimal",
         }
-        if cb.min_ray is not None:
-            entry["min_ray"] = [str(v) for v in cb.min_ray]
-        if cb.max_ray is not None:
-            entry["max_ray"] = [str(v) for v in cb.max_ray]
-        coords.append(entry)
+        for cb in cert.coordinates
+    ]
     return {
         "n": cert.n,
         "m": cert.m_value,
         "mode": cert.mode,
         "coords": coords,
-        "bounded": cert.bounded,
+        "bounded": True,
     }
 
 
 def certificate_to_text(cert: BoundsCertificate) -> str:
     lines = [f"n={cert.n} m={cert.m_value} mode={cert.mode}"]
     for cb in cert.coordinates:
-        label = coordinate_label(cb.partition)
-        low = str(cb.minimum) if cb.min_status == "optimal" else cb.min_status
-        high = str(cb.maximum) if cb.max_status == "optimal" else cb.max_status
-        lines.append(f"{label} in [{low}, {high}]")
-    lines.append(f"bounded: {'yes' if cert.bounded else 'no'}")
+        lines.append(f"{coordinate_label(cb.partition)} in [{cb.minimum}, {cb.maximum}]")
+    lines.append("bounded: yes")
     return "\n".join(lines)
 
 
 def certificate_to_latex(cert: BoundsCertificate) -> str:
-    lines = ["\\begin{align*}"]
-    body = []
-    for cb in cert.coordinates:
-        label = coordinate_label(cb.partition, latex=True)
-        low = (
-            _frac_str(cb.minimum, True)
-            if cb.min_status == "optimal"
-            else f"\\text{{{cb.min_status}}}"
-        )
-        high = (
-            _frac_str(cb.maximum, True)
-            if cb.max_status == "optimal"
-            else f"\\text{{{cb.max_status}}}"
-        )
-        body.append(f"{low} &\\le {label} \\le {high}")
-    lines.append(" \\\\\n".join(body))
-    lines.append("\\end{align*}")
-    return "\n".join(lines)
+    body = [
+        f"{_frac_str(cb.minimum, True)} &\\le {coordinate_label(cb.partition, latex=True)} "
+        f"\\le {_frac_str(cb.maximum, True)}"
+        for cb in cert.coordinates
+    ]
+    return "\n".join(["\\begin{align*}", " \\\\\n".join(body), "\\end{align*}"])

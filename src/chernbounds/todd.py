@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chern import ChernPoly, cvar
 
@@ -82,22 +83,11 @@ def todd_components(d: int) -> list[ChernPoly]:
     return list(_COMPONENTS[d])
 
 
-class ToddPolynomial:
+class ToddPolynomial(NamedTuple):
     """One graded Todd polynomial: its degree and its body in c_1..c_d."""
 
-    __slots__ = ("degree", "body")
-
-    def __init__(self, degree: int, body: ChernPoly):
-        self.degree = degree
-        self.body = body
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ToddPolynomial):
-            return NotImplemented
-        return self.degree == other.degree and self.body == other.body
-
-    def __repr__(self) -> str:
-        return f"ToddPolynomial(degree={self.degree}, body={self.body!r})"
+    degree: int
+    body: ChernPoly
 
 
 def todd_polynomial(d: int) -> ToddPolynomial:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ import chernbounds.cli
 import chernbounds.polytope
 from chernbounds.cli import main
 from chernbounds.inequalities import generate_all, specialize
+from chernbounds.polytope import RatioInequality
 from chernbounds.render import parse_inequality_json
 
 
@@ -218,6 +220,22 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: internal: constant row with negative constant\n"
+
+
+def test_polytope_guard_failure_exits_3(capsys, monkeypatch):
+    real = chernbounds.polytope.build_polytope
+    cut = RatioInequality(3, (Fraction(0), Fraction(-1)), Fraction(85))
+
+    def with_cut_row(*args, **kwargs):
+        return real(*args, **kwargs) + [cut]
+
+    monkeypatch.setattr(chernbounds.cli, "build_polytope", with_cut_row)
+    code, out, err = run_cli(capsys, "polytope", "--n", "3", "--m", "1", "--bounds")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: internal: polytope guard n=3 m=1: a row is negative at the s(1,1,1) vertex\n"
+    )
 
 
 def test_output_file(tmp_path, capsys):

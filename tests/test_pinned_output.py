@@ -2,9 +2,9 @@
 
 perfbench/expected.json pins the exit code and the SHA-256 of stdout for
 every request the benchmark sends.  The `--n 9` requests take seconds
-each and are left to the benchmark.  `polytope --n 6 --bounds --chi` is
-served from the closed-form Schubert vertices; the exact simplex would take
-seconds per request there, so it is made to raise during the replay.
+each and are left to the benchmark.  Every polytope bound is read off the
+closed-form Schubert vertices, so no request may reach the exact simplex:
+it is made to raise for the whole replay.
 """
 
 import hashlib
@@ -22,21 +22,19 @@ def _fast(argv):
 
 
 def _no_simplex(*args):
-    raise AssertionError("exact simplex called while replaying polytope --n 6")
+    raise AssertionError("exact simplex called while replaying a pinned request")
 
 
 def test_pinned_outputs_are_byte_identical(capsys, monkeypatch):
     pins = json.loads(PINS.read_text(encoding="utf-8"))
     replayed = 0
     diffs = []
+    monkeypatch.setattr(chernbounds.polytope, "simplex_max", _no_simplex)
     for request, pin in pins.items():
         argv = request.split()
         if not _fast(argv):
             continue
-        with monkeypatch.context() as patch:
-            if argv[:3] == ["polytope", "--n", "6"]:
-                patch.setattr(chernbounds.polytope, "simplex_max", _no_simplex)
-            code = main(argv)
+        code = main(argv)
         out = capsys.readouterr().out.encode("utf-8")
         if (code, hashlib.sha256(out).hexdigest()) != (pin["exit"], pin["sha256"]):
             diffs.append(request)

@@ -20,6 +20,7 @@ from chernbounds import (
     boundedness_certificate,
     build_polytope,
     chi_bounds,
+    chi_structure_sheaf_functional,
     effective_inequality,
     enumerate_partitions,
     lp_optimize,
@@ -54,27 +55,21 @@ def test_coordinates_order():
 
 def test_surface_interval_m1():
     cert = boundedness_certificate(build_polytope(2, 1), 1)
-    assert cert.bounded
     assert interval(cert, (2,)) == (-5, 11)
 
 
 def test_threefold_intervals_m1():
     cert = boundedness_certificate(build_polytope(3, 1), 1)
-    assert cert.bounded
     assert interval(cert, (2, 1)) == (-9, 16)
     assert interval(cert, (3,)) == (-14, 86)
 
 
 def test_fourfold_intervals_m1():
     cert = boundedness_certificate(build_polytope(4, 1), 1)
-    assert cert.bounded
     assert interval(cert, (2, 1, 1)) == (-14, 22)
     assert interval(cert, (2, 2)) == (-140, 484)
     assert interval(cert, (3, 1)) == (-28, 134)
     assert interval(cert, (4,)) == (-91, 953)
-    for bound in cert.coordinates:
-        assert bound.min_status == bound.max_status == "optimal"
-        assert bound.min_ray is None and bound.max_ray is None
 
 
 def test_surface_interval_m5():
@@ -84,7 +79,6 @@ def test_surface_interval_m5():
 
 def test_fano_surface_interval():
     cert = boundedness_certificate(build_polytope(2, -1, FANO), -1, FANO)
-    assert cert.bounded
     assert interval(cert, (2,)) == (-1, 3)
 
 
@@ -139,16 +133,12 @@ def test_comparisons_only_tighten():
     with_cmp = boundedness_certificate(build_polytope(3, 1, include_comparisons=True), 1)
     without = boundedness_certificate(build_polytope(3, 1, include_comparisons=False), 1)
     for full, plain in zip(with_cmp.coordinates, without.coordinates):
-        assert plain.min_status == "optimal" or plain.minimum is None
-        if plain.minimum is not None and full.minimum is not None:
-            assert plain.minimum <= full.minimum
-        if plain.maximum is not None and full.maximum is not None:
-            assert plain.maximum >= full.maximum
+        assert plain.minimum <= full.minimum
+        assert plain.maximum >= full.maximum
 
 
 def test_chi_bounds_surface():
     res = chi_bounds(build_polytope(2, 1), 1)
-    assert res.statuses == ("optimal",) * 4
     assert (res.d1, res.d2) == (-5, 11)
     assert (res.d3, res.d4) == (Fraction(-1, 3), 1)
 
@@ -216,20 +206,31 @@ def _no_simplex(*args):
     raise AssertionError("exact simplex called on the vertex path")
 
 
+def _lp_min_max(rows, objective):
+    return lp_optimize(rows, objective, "min").value, lp_optimize(rows, objective, "max").value
+
+
 def _lp_bounds(rows):
     k = len(rows[0].coeffs)
-    units = [tuple(Fraction(int(j == q)) for j in range(k)) for q in range(k)]
-    return [(lp_optimize(rows, u, "min").value, lp_optimize(rows, u, "max").value) for u in units]
+    return [_lp_min_max(rows, tuple(int(j == q) for j in range(k))) for q in range(k)]
 
 
 def _bounds(cert):
     return [(b.minimum, b.maximum) for b in cert.coordinates]
 
 
-def _lp_chi(rows, m_value, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(chernbounds.polytope, "_simplex_vertices", lambda rows, m_value: None)
-        return chi_bounds(rows, m_value)
+def _lp_chi(rows):
+    """d1..d4 by exact LP: the top-class and Todd objectives plus the Todd shift."""
+    n = rows[0].n
+    sign = -1 if n % 2 else 1
+    coords = ratio_coordinates(n)
+    functional = chi_structure_sheaf_functional(n)
+    todd = {mono.parts: c.constant_value() for mono, c in functional.terms.items()}
+    top_obj = tuple(sign * int(q == Partition([n])) for q in coords)
+    todd_obj = tuple(sign * todd.get(q, 0) for q in coords)
+    shift = sign * todd.get(Partition([1] * n), 0)
+    d3, d4 = _lp_min_max(rows, todd_obj)
+    return (*_lp_min_max(rows, top_obj), d3 + shift, d4 + shift)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -240,9 +241,8 @@ def test_vertex_bounds_equal_lp_bounds(n, m_value, mode, monkeypatch):
         patch.setattr(chernbounds.polytope, "simplex_max", _no_simplex)
         cert = boundedness_certificate(rows, m_value, mode)
         chi = chi_bounds(rows, m_value)
-    assert cert.bounded
     assert _bounds(cert) == _lp_bounds(rows)
-    assert chi == _lp_chi(rows, m_value, monkeypatch)
+    assert chi == _lp_chi(rows)
 
 
 def _standard_tableaux(lam):
@@ -261,28 +261,30 @@ def test_ones_denominators_are_standard_tableau_counts(m_value):
         assert ones == expected
 
 
-def test_vertex_cut_off_falls_back_to_lp(monkeypatch):
+def test_vertex_cut_off_raises():
     vertices = schubert_vertices(3, 1)
-    top = max(v[1] for v in vertices)
-    # t[3] <= top - 1 cuts off the vertex where t[3] is largest
-    cut = build_polytope(3, 1) + [RatioInequality(3, (Fraction(0), Fraction(-1)), top - 1)]
-    cert = boundedness_certificate(cut, 1)
-    assert _bounds(cert) == _lp_bounds(cut)
-    assert cert.coordinates[1].maximum == top - 1
-    assert chi_bounds(cut, 1) == _lp_chi(cut, 1, monkeypatch)
+    assert max(v[1] for v in vertices) == vertices[2][1] == 86
+    # t[3] <= 85 cuts off the s(1,1,1) vertex, where t[3] is largest
+    cut = build_polytope(3, 1) + [RatioInequality(3, (Fraction(0), Fraction(-1)), Fraction(85))]
+    message = r"polytope guard n=3 m=1: a row is negative at the s\(1,1,1\) vertex"
+    with pytest.raises(RuntimeError, match=message):
+        boundedness_certificate(cut, 1)
+    with pytest.raises(RuntimeError, match=message):
+        chi_bounds(cut, 1)
 
 
-def test_missing_schubert_row_falls_back_to_lp(monkeypatch):
+def test_missing_schubert_row_raises():
     rows = build_polytope(3, 1)
     vertices = schubert_vertices(3, 1)
 
     def support(row):
         return [row.constant + sum(c * x for c, x in zip(row.coeffs, v)) != 0 for v in vertices]
 
-    # drop the facet opposite the first vertex: the row that is nonzero only there
+    # drop the facet opposite the first vertex, s(3): the row that is nonzero only there
     facet = next(r for r in rows if support(r) == [True] + [False] * (len(vertices) - 1))
     reduced = [r for r in rows if r != facet]
-    cert = boundedness_certificate(reduced, 1)
-    assert _bounds(cert) == _lp_bounds(reduced)
-    assert cert != boundedness_certificate(rows, 1)
-    assert chi_bounds(reduced, 1) == _lp_chi(reduced, 1, monkeypatch)
+    message = r"polytope guard n=3 m=1: no row is the s\(3\) facet"
+    with pytest.raises(RuntimeError, match=message):
+        boundedness_certificate(reduced, 1)
+    with pytest.raises(RuntimeError, match=message):
+        chi_bounds(reduced, 1)
