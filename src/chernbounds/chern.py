@@ -11,10 +11,15 @@ The `variables` tag records what the c_i mean ("x": the variety's tangent
 bundle, "s": the universal subbundle of a Grassmannian, "e": an abstract
 bundle next to the line symbol, "a": formal series coefficients).  Arithmetic
 refuses to mix tags, which catches category errors early.
+
+gauss_pullback_chern, special_to_chern_s and chern_s_to_schubert are pure
+tables cached for the life of the process; every caller shares the returned
+value, so it must never be mutated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -250,6 +255,7 @@ def tangent_twisted_chern(n: int, p: int) -> ChernPoly:
     return ChernPoly(terms, "x")
 
 
+@functools.cache
 def gauss_pullback_chern(n: int, p: int) -> ChernPoly:
     """c_p of the pullback of the universal subbundle along the Gauss map.
 
@@ -261,6 +267,7 @@ def gauss_pullback_chern(n: int, p: int) -> ChernPoly:
     return res
 
 
+@functools.cache
 def special_to_chern_s(w: int) -> ChernPoly:
     """The weight-w special Schubert class written in subbundle Chern classes.
 
@@ -286,10 +293,15 @@ def chern_s_to_schubert(a: Partition) -> SchubertExpr:
     """Schubert expansion of (-1)^|a| times the subbundle Chern monomial for a.
 
     This is the product over the parts of the classes (1,)*part, computed in
-    stable mode.
+    stable mode and cached per partition.
     """
     if not isinstance(a, Partition):
         a = Partition(a)
+    return _chern_s_to_schubert(a)
+
+
+@functools.cache
+def _chern_s_to_schubert(a: Partition) -> SchubertExpr:
     out = sigma()
     for part in a:
         out = multiply(out, sigma(*([1] * part)))

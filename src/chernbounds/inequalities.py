@@ -22,6 +22,7 @@ emitting a wrong inequality.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -59,25 +60,20 @@ class Inequality(NamedTuple):
         return self.lhs.is_zero()
 
 
-_GAUSS: dict[tuple[int, int], ChernPoly] = {}
-
-
-def _gauss(n: int, p: int) -> ChernPoly:
-    key = (n, p)
-    if key not in _GAUSS:
-        _GAUSS[key] = gauss_pullback_chern(n, p)
-    return _GAUSS[key]
-
-
+@functools.cache
 def _gauss_product(a: Partition, n: int) -> ChernPoly:
     out = ChernPoly.one("x")
     for part in a:
-        out = out * _gauss(n, part)
+        out = out * gauss_pullback_chern(n, part)
     return out
 
 
 def _substitute_gauss(poly: ChernPoly, n: int) -> ChernPoly:
-    return substitute(poly, lambda i: _gauss(n, i), variables="x")
+    return substitute(poly, lambda i: gauss_pullback_chern(n, i), variables="x")
+
+
+def _label(a: Partition) -> str:
+    return "(" + ",".join(map(str, a)) + ")"
 
 
 def _require_weight(a, n: int) -> Partition:
@@ -102,7 +98,7 @@ def effective_inequality(a, n: int) -> Inequality:
         via_columns = via_columns * schubert_class_in_chern_s(Partition([1] * part))
     routed = _substitute_gauss(via_columns, n)
     if routed != direct:
-        raise RuntimeError(f"route disagreement for effective class {tuple(a)}")
+        raise RuntimeError(f"effective family n={n}: routes disagree for {_label(a)}")
     return Inequality(n, direct, Provenance("effective", a))
 
 
@@ -126,7 +122,7 @@ def schubert_class_inequality(a, n: int) -> Inequality:
     primary = schubert_class_in_chern_s(a)
     mirrored = schubert_class_in_chern_s_dual(a)
     if primary != mirrored:
-        raise RuntimeError(f"determinant routes disagree for class {tuple(a)}")
+        raise RuntimeError(f"schubert-class family n={n}: routes disagree for {_label(a)}")
     return Inequality(n, _substitute_gauss(primary, n), Provenance("schubert-class", a))
 
 
@@ -135,29 +131,21 @@ def comparison_inequalities(n: int) -> list[Inequality]:
 
     For an ordered pair (hi, lo) the difference of their Schubert expansions
     must be effective; then the difference of the pulled-back products,
-    signed by (-1)^n, is nonnegative.
+    signed by (-1)^n, is nonnegative.  Zero and repeated left sides are
+    kept; generate_all drops them.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
     parts = enumerate_partitions(n)
-    exprs = {a: chern_s_to_schubert(a) for a in parts}
-    prods = {a: _gauss_product(a, n) for a in parts}
     sign = -1 if n % 2 else 1
     out: list[Inequality] = []
-    seen = set()
     for i, a in enumerate(parts):
         for b in parts[i + 1 :]:
             for hi, lo in ((a, b), (b, a)):
-                diff = exprs[hi] - exprs[lo]
+                diff = chern_s_to_schubert(hi) - chern_s_to_schubert(lo)
                 if diff.is_zero() or not is_effective(diff):
                     continue
-                lhs = (prods[hi] - prods[lo]) * sign
-                if lhs.is_zero():
-                    continue
-                key = lhs.key()
-                if key in seen:
-                    continue
-                seen.add(key)
+                lhs = (_gauss_product(hi, n) - _gauss_product(lo, n)) * sign
                 out.append(Inequality(n, lhs, Provenance("comparison", hi, lo)))
     return out
 

@@ -9,6 +9,7 @@ Everything here is a pure function on immutable values.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -22,7 +23,7 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(operator.index(p) for p in parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for i, p in enumerate(parts):

@@ -21,9 +21,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .chern import ChernPoly, chern_s_to_schubert, cmono, cvar, gauss_pullback_chern, substitute
-from .inequalities import Inequality, generate_all, specialize
+from .inequalities import Inequality, _label, generate_all, specialize
 from .lp import simplex_max
-from .mpoly import rational_content
 from .partitions import Partition, enumerate_partitions
 from .todd import chi_structure_sheaf_functional
 
@@ -88,7 +87,8 @@ def build_polytope(
 
     Rows touching no coordinate are dropped; such a row always has a
     nonnegative constant (a negative one would mean a sign bug upstream).
-    Duplicates are detected up to positive scaling via content division.
+    specialize leaves every row primitive (content 1), so rows equal up to
+    positive scaling are already equal and dedupe as they are.
     """
     rows: list[RatioInequality] = []
     seen = set()
@@ -96,19 +96,14 @@ def build_polytope(
         ratio = normalize_to_ratio(specialize(ineq, m_value), m_value, mode)
         if ratio.is_constant_only():
             if ratio.constant < 0:
-                raise RuntimeError("constant row with negative constant")
+                where = f"polytope n={n} m={m_value}"
+                label = f"{ineq.provenance.kind} {_label(ineq.provenance.a)}"
+                raise RuntimeError(f"{where}: the {label} row is a negative constant")
             continue
-        vals = ratio.coeffs + (ratio.constant,)
-        content = rational_content(vals)
-        canon = tuple(v / content for v in vals)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        rows.append(RatioInequality(n, canon[:-1], canon[-1]))
+        if ratio not in seen:
+            seen.add(ratio)
+            rows.append(ratio)
     return rows
-
-
-_s_to_schubert = functools.cache(chern_s_to_schubert)
 
 
 def _chern_in_schubert(n: int, m_value: int) -> dict[Partition, dict[Partition, Fraction]]:
@@ -117,7 +112,7 @@ def _chern_in_schubert(n: int, m_value: int) -> dict[Partition, dict[Partition, 
     The pulled-back c_p is a nonzero constant times c_p plus terms in
     c_1..c_{p-1}, so the Gauss substitution inverts triangularly at the
     numeric m.  Each subbundle monomial s^a is (-1)^n chern_s_to_schubert(a),
-    which does not depend on m and is cached per partition.
+    which does not depend on m.
     """
     sign = -1 if n % 2 else 1
     inverse: dict[int, ChernPoly] = {}
@@ -131,7 +126,7 @@ def _chern_in_schubert(n: int, m_value: int) -> dict[Partition, dict[Partition, 
         in_s = math.prod((inverse[part] for part in q), start=ChernPoly.one("s"))
         row: dict[Partition, Fraction] = {}
         for mono, coeff in in_s.terms.items():
-            for lam, k in _s_to_schubert(mono.parts).terms.items():
+            for lam, k in chern_s_to_schubert(mono.parts).terms.items():
                 row[lam] = row.get(lam, 0) + sign * k * coeff.constant_value()
         table[q] = row
     return table
@@ -199,10 +194,6 @@ def lp_optimize(
     return LpResult("infeasible", farkas=res.farkas)
 
 
-def _label(lam: Partition) -> str:
-    return "s(" + ",".join(map(str, lam)) + ")"
-
-
 @functools.lru_cache(maxsize=1)
 def _simplex_vertices(rows: tuple[RatioInequality, ...], m_value: int):
     """schubert_vertices at m_value, checked to be the vertices of the rows' polytope.
@@ -225,13 +216,13 @@ def _simplex_vertices(rows: tuple[RatioInequality, ...], m_value: int):
         vals = [r.constant + sum(c * x for c, x in zip(r.coeffs, v)) for v in vertices]
         for lam, x in zip(partitions, vals):
             if x < 0:
-                raise RuntimeError(f"{where}: a row is negative at the {_label(lam)} vertex")
+                raise RuntimeError(f"{where}: a row is negative at the s{_label(lam)} vertex")
         support = [j for j, x in enumerate(vals) if x]
         if len(support) == 1:
             facets.update(support)
     for j, lam in enumerate(partitions):
         if j not in facets:
-            raise RuntimeError(f"{where}: no row is the {_label(lam)} facet")
+            raise RuntimeError(f"{where}: no row is the s{_label(lam)} facet")
     return vertices
 
 

@@ -13,6 +13,7 @@ the Pieri rule.  All values are immutable; all functions are pure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .partitions import Partition
@@ -50,7 +51,7 @@ class SchubertExpr:
         for part, coeff in (terms or {}).items():
             if not isinstance(part, Partition):
                 part = Partition(part)
-            coeff = int(coeff)
+            coeff = operator.index(coeff)
             if coeff:
                 d[part] = d.get(part, 0) + coeff
         self.terms = {p: c for p, c in d.items() if c}

@@ -9,6 +9,7 @@ values independently.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -57,30 +58,30 @@ def _graded_mul(f: list[ChernPoly], g: list[ChernPoly], d: int) -> list[ChernPol
     return out
 
 
-_COMPONENTS: dict[int, list[ChernPoly]] = {}
-
-
 def todd_components(d: int) -> list[ChernPoly]:
-    """Graded pieces td_0..td_d of the total Todd class."""
+    """Graded pieces td_0..td_d of the total Todd class, as a fresh list."""
+    return list(_todd_components(d))
+
+
+@functools.cache
+def _todd_components(d: int) -> tuple[ChernPoly, ...]:
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if d not in _COMPONENTS:
-        l = log_todd_series(d)
-        log_comps = [ChernPoly.zero("x")]
-        for k in range(1, d + 1):
-            log_comps.append(power_sum(k) * l[k])
-        out = [ChernPoly.zero("x") for _ in range(d + 1)]
-        out[0] = ChernPoly.one("x")
-        power = [ChernPoly.one("x")] + [ChernPoly.zero("x") for _ in range(d)]
-        fact = 1
-        for j in range(1, d + 1):
-            # exp truncates at j = d since log has no constant term
-            power = _graded_mul(power, log_comps, d)
-            fact *= j
-            for k in range(d + 1):
-                out[k] = out[k] + power[k] * Fraction(1, fact)
-        _COMPONENTS[d] = out
-    return list(_COMPONENTS[d])
+    l = log_todd_series(d)
+    log_comps = [ChernPoly.zero("x")]
+    for k in range(1, d + 1):
+        log_comps.append(power_sum(k) * l[k])
+    out = [ChernPoly.zero("x") for _ in range(d + 1)]
+    out[0] = ChernPoly.one("x")
+    power = [ChernPoly.one("x")] + [ChernPoly.zero("x") for _ in range(d)]
+    fact = 1
+    for j in range(1, d + 1):
+        # exp truncates at j = d since log has no constant term
+        power = _graded_mul(power, log_comps, d)
+        fact *= j
+        for k in range(d + 1):
+            out[k] = out[k] + power[k] * Fraction(1, fact)
+    return tuple(out)
 
 
 class ToddPolynomial(NamedTuple):

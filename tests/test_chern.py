@@ -124,6 +124,7 @@ def test_chern_s_to_schubert():
     assert chern_s_to_schubert((1, 1)) == sigma(2) + sigma(1, 1)
     assert chern_s_to_schubert((2, 1)) == sigma(2, 1) + sigma(1, 1, 1)
     assert chern_s_to_schubert((3,)) == sigma(1, 1, 1)
+    assert chern_s_to_schubert([2, 1]) == sigma(2, 1) + sigma(1, 1, 1)
 
 
 def test_schubert_class_two_routes_agree():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import chernbounds.cli
+import chernbounds.inequalities
 import chernbounds.polytope
 from chernbounds.cli import main
 from chernbounds.inequalities import generate_all, specialize
@@ -220,6 +221,15 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: internal: constant row with negative constant\n"
+
+
+def test_route_disagreement_exits_3(capsys, monkeypatch):
+    real = chernbounds.inequalities.schubert_class_in_chern_s_dual
+    monkeypatch.setattr(chernbounds.inequalities, "schubert_class_in_chern_s_dual", lambda a: real(a) * 2)
+    code, out, err = run_cli(capsys, "generate", "--n", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: schubert-class family n=3: routes disagree for (3)\n"
 
 
 def test_polytope_guard_failure_exits_3(capsys, monkeypatch):

@@ -2,17 +2,21 @@ from fractions import Fraction
 
 import pytest
 
+import chernbounds.inequalities
 from chernbounds import (
     Partition,
     cmono,
     comparison_inequalities,
     effective_inequality,
+    enumerate_partitions,
     gauss_pullback_chern,
     generate_all,
     schubert_class_inequality,
     specialize,
+    substitute,
     upper_inequality,
 )
+from chernbounds.inequalities import _gauss_product
 from chernbounds.mpoly import MPoly
 
 
@@ -43,6 +47,30 @@ def test_effective_sign_alternates():
     assert ineq.lhs == -g(3, 3)
     even = effective_inequality((4,), 4)
     assert even.lhs == g(4, 4)
+
+
+def test_gauss_product_is_the_substituted_monomial():
+    for n in range(1, 7):
+        for a in enumerate_partitions(n):
+            want = substitute(cmono(a), lambda i: gauss_pullback_chern(n, i), variables="x")
+            assert _gauss_product(a, n) == want, (n, a)
+
+
+def _doubled(monkeypatch, name):
+    real = getattr(chernbounds.inequalities, name)
+    monkeypatch.setattr(chernbounds.inequalities, name, lambda a: real(a) * 2)
+
+
+def test_effective_route_disagreement_names_the_partition(monkeypatch):
+    _doubled(monkeypatch, "schubert_class_in_chern_s")
+    with pytest.raises(RuntimeError, match=r"^effective family n=4: routes disagree for \(2,1,1\)$"):
+        effective_inequality((2, 1, 1), 4)
+
+
+def test_schubert_class_route_disagreement_names_the_partition(monkeypatch):
+    _doubled(monkeypatch, "schubert_class_in_chern_s_dual")
+    with pytest.raises(RuntimeError, match=r"^schubert-class family n=4: routes disagree for \(2,2\)$"):
+        schubert_class_inequality((2, 2), 4)
 
 
 def test_upper_n2():

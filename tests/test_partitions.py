@@ -25,6 +25,13 @@ def test_constructor_rejects_increasing():
         Partition((2, -1))
 
 
+def test_constructor_rejects_non_integers():
+    with pytest.raises(TypeError):
+        Partition((2.7, 1))
+    with pytest.raises(TypeError):
+        Partition((Fraction(2), 1))
+
+
 def test_padded():
     assert Partition((3, 1)).padded(4) == (3, 1, 0, 0)
     assert Partition((3, 1)).padded(2) == (3, 1)

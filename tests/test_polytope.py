@@ -15,17 +15,21 @@ import chernbounds.polytope
 from chernbounds import (
     FANO,
     GENERAL_TYPE,
+    Inequality,
     Partition,
+    Provenance,
     RatioInequality,
     boundedness_certificate,
     build_polytope,
     chi_bounds,
     chi_structure_sheaf_functional,
+    cmono,
     effective_inequality,
     enumerate_partitions,
     lp_optimize,
     normalize_to_ratio,
     ratio_coordinates,
+    rational_content,
     specialize,
 )
 from chernbounds.polytope import _chern_in_schubert, schubert_vertices
@@ -129,12 +133,30 @@ def test_ball_quotient_ratio_feasible_at_m5():
         assert row.coeffs[0] * 3 + row.constant >= 0
 
 
-def test_comparisons_only_tighten():
-    with_cmp = boundedness_certificate(build_polytope(3, 1, include_comparisons=True), 1)
-    without = boundedness_certificate(build_polytope(3, 1, include_comparisons=False), 1)
-    for full, plain in zip(with_cmp.coordinates, without.coordinates):
-        assert plain.minimum <= full.minimum
-        assert plain.maximum >= full.maximum
+def test_comparisons_never_change_bounds():
+    # every comparison row is a nonnegative combination of the Schubert rows
+    for n in range(2, 6):
+        for m_value, mode in [(1, GENERAL_TYPE), (2, GENERAL_TYPE), (-1, FANO), (-2, FANO)]:
+            full = build_polytope(n, m_value, mode, include_comparisons=True)
+            plain = build_polytope(n, m_value, mode, include_comparisons=False)
+            certs = [boundedness_certificate(rows, m_value, mode) for rows in (full, plain)]
+            chis = [chi_bounds(rows, m_value) for rows in (full, plain)]
+            assert certs[0] == certs[1] and chis[0] == chis[1], (n, m_value)
+
+
+@pytest.mark.parametrize("m_value, mode", [(2, GENERAL_TYPE), (-1, FANO)])
+def test_rows_are_primitive(m_value, mode):
+    for n in range(2, 7):
+        for row in build_polytope(n, m_value, mode):
+            assert rational_content(row.coeffs + (row.constant,)) == 1, (n, row)
+
+
+def test_negative_constant_row_raises(monkeypatch):
+    bad = Inequality(3, cmono([1, 1, 1]), Provenance("effective", Partition((2, 1))))
+    monkeypatch.setattr(chernbounds.polytope, "generate_all", lambda n, include_comparisons: [bad])
+    message = r"^polytope n=3 m=1: the effective \(2,1\) row is a negative constant$"
+    with pytest.raises(RuntimeError, match=message):
+        build_polytope(3, 1)
 
 
 def test_chi_bounds_surface():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from chernbounds.partitions import Partition, enumerate_partitions
@@ -20,6 +22,13 @@ def test_sigma_constructor():
     assert sigma(2, 1).coeff((2, 1)) == 1
     assert sigma().coeff(()) == 1
     assert (sigma(2) - sigma(2)).is_zero()
+
+
+def test_constructors_reject_non_integers():
+    with pytest.raises(TypeError):
+        sigma(2.5)
+    with pytest.raises(TypeError):
+        SchubertExpr({(1,): Fraction(1, 2)})
 
 
 def test_pieri_basic_products():

@@ -41,6 +41,16 @@ def test_unit_and_grading():
             assert mono.degree == d
 
 
+def test_components_list_is_fresh():
+    want = todd_components(4)[4]
+    comps = todd_components(4)
+    comps[4] = comps[0]
+    comps.append(comps[0])
+    again = todd_components(4)
+    assert len(again) == 5
+    assert again[4] == want
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_roots_oracle(d):
     # substitute c_i = e_i(x_1..x_d) and compare against the product
