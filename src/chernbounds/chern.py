@@ -12,6 +12,11 @@ bundle, "s": the universal subbundle of a Grassmannian, "e": an abstract
 bundle next to the line symbol, "a": formal series coefficients).  Arithmetic
 refuses to mix tags, which catches category errors early.
 
+The ChernPoly constructor is the one place where terms are merged: it takes a
+mapping or an iterable of (monomial, coefficient) pairs, adds up repeated
+monomials and drops zero coefficients.  Every operation and builder below
+hands it pairs and merges nothing itself.
+
 gauss_pullback_chern, special_to_chern_s and chern_s_to_schubert are pure
 tables cached for the life of the process; every caller shares the returned
 value, so it must never be mutated.
@@ -56,18 +61,23 @@ def _as_mpoly(x) -> MPoly:
 
 
 class ChernPoly:
-    """Homogeneous polynomial in Chern variables over Q[m]."""
+    """Homogeneous polynomial in Chern variables over Q[m].
+
+    `terms` is a mapping or an iterable of (monomial, coefficient) pairs.
+    Repeated monomials are added up here, once, and zero coefficients are
+    dropped; a monomial may be given as a Monomial or as its parts.
+    """
 
     __slots__ = ("terms", "variables")
 
     def __init__(self, terms=None, variables: str = "x"):
         d: dict[Monomial, MPoly] = {}
-        for mono, coeff in (terms or {}).items():
+        for mono, coeff in terms.items() if hasattr(terms, "items") else terms or ():
             if not isinstance(mono, Monomial):
                 mono = _mono(mono)
             coeff = _as_mpoly(coeff)
             if coeff:
-                d[mono] = d.get(mono, MPoly.zero()) + coeff
+                d[mono] = d[mono] + coeff if mono in d else coeff
         d = {mn: c for mn, c in d.items() if c}
         degrees = {mn.degree for mn in d}
         if len(degrees) > 1:
@@ -122,15 +132,15 @@ class ChernPoly:
         if not isinstance(other, ChernPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for mn, c in other.terms.items():
-            out[mn] = out.get(mn, MPoly.zero()) + c
-        return ChernPoly(out, self.variables if self.terms else other.variables)
+        terms = [*self.terms.items(), *other.terms.items()]
+        return ChernPoly(terms, self.variables if self.terms else other.variables)
 
     def __sub__(self, other):
         if not isinstance(other, ChernPoly):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        terms = [*self.terms.items(), *((mn, -c) for mn, c in other.terms.items())]
+        return ChernPoly(terms, self.variables if self.terms else other.variables)
 
     def __neg__(self):
         return ChernPoly({mn: -c for mn, c in self.terms.items()}, self.variables)
@@ -142,16 +152,12 @@ class ChernPoly:
         if not isinstance(other, ChernPoly):
             return NotImplemented
         self._check(other)
-        out: dict[Monomial, MPoly] = {}
+        products = []
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mn = Monomial(
-                    Partition(sorted(tuple(m1.parts) + tuple(m2.parts), reverse=True)),
-                    m1.line_power + m2.line_power,
-                )
-                prod = c1 * c2
-                out[mn] = out.get(mn, MPoly.zero()) + prod
-        return ChernPoly(out, self.variables if self.terms else other.variables)
+                parts = Partition(sorted(m1.parts + m2.parts, reverse=True))
+                products.append((Monomial(parts, m1.line_power + m2.line_power), c1 * c2))
+        return ChernPoly(products, self.variables if self.terms else other.variables)
 
     __rmul__ = __mul__
 
@@ -206,7 +212,7 @@ def substitute(
 
     All replacement polynomials must share the target `variables` tag.
     """
-    out = ChernPoly.zero(variables)
+    terms = []
     for mn, coeff in poly.terms.items():
         term = ChernPoly.one(variables)
         for p in mn.parts:
@@ -215,8 +221,8 @@ def substitute(
             if line is None:
                 raise ValueError("polynomial contains the line symbol but no substitution was given")
             term = term * line**mn.line_power
-        out = out + term * coeff
-    return out
+        terms += ((m, c * coeff) for m, c in term.terms.items())
+    return ChernPoly(terms, variables)
 
 
 def twisted_chern(rank: int, p: int) -> ChernPoly:
@@ -229,10 +235,7 @@ def twisted_chern(rank: int, p: int) -> ChernPoly:
         raise ValueError("rank must be positive")
     if not 0 <= p <= rank:
         raise ValueError("need 0 <= p <= rank")
-    terms: dict[Monomial, MPoly] = {}
-    for i in range(p + 1):
-        parts = (i,) if i else ()
-        terms[_mono(parts, p - i)] = MPoly.const(math.comb(rank - i, p - i))
+    terms = ((_mono((i,) if i else (), p - i), math.comb(rank - i, p - i)) for i in range(p + 1))
     return ChernPoly(terms, "e")
 
 
@@ -246,12 +249,10 @@ def tangent_twisted_chern(n: int, p: int) -> ChernPoly:
         raise ValueError("dimension must be positive")
     if not 0 <= p <= n:
         raise ValueError("need 0 <= p <= n")
-    terms: dict[Monomial, MPoly] = {}
-    for i in range(p + 1):
-        parts = Partition(sorted(([i] if i else []) + [1] * (p - i), reverse=True))
-        coeff = MPoly.const(math.comb(n - i, p - i)) * M ** (p - i)
-        mn = _mono(parts)
-        terms[mn] = terms.get(mn, MPoly.zero()) + coeff
+    terms = (
+        (sorted(([i] if i else []) + [1] * (p - i), reverse=True), math.comb(n - i, p - i) * M ** (p - i))
+        for i in range(p + 1)
+    )
     return ChernPoly(terms, "x")
 
 
@@ -278,14 +279,12 @@ def special_to_chern_s(w: int) -> ChernPoly:
         raise ValueError("weight must be nonnegative")
     if w == 0:
         return ChernPoly.one("s")
-    terms: dict[Monomial, MPoly] = {}
+    terms = []
     for lam in enumerate_partitions(w):
-        counts = Counter(lam)
         mult = math.factorial(len(lam))
-        for c in counts.values():
+        for c in Counter(lam).values():
             mult //= math.factorial(c)
-        sign = -1 if len(lam) % 2 else 1
-        terms[_mono(lam)] = MPoly.const(sign * mult)
+        terms.append((lam, -mult if len(lam) % 2 else mult))
     return ChernPoly(terms, "s")
 
 
@@ -314,15 +313,13 @@ def schubert_class_in_chern_s(a: Partition) -> ChernPoly:
     Route: Giambelli determinant over special classes, then each special
     class through special_to_chern_s.
     """
-    if not isinstance(a, Partition):
-        a = Partition(a)
-    out = ChernPoly.zero("s")
+    terms = []
     for prod, sign in special_expansion(a).items():
         term = ChernPoly.one("s")
         for idx in prod:
             term = term * special_to_chern_s(idx)
-        out = out + term * sign
-    return out
+        terms += ((mn, c * sign) for mn, c in term.terms.items())
+    return ChernPoly(terms, "s")
 
 
 def schubert_class_in_chern_s_dual(a: Partition) -> ChernPoly:
@@ -334,13 +331,11 @@ def schubert_class_in_chern_s_dual(a: Partition) -> ChernPoly:
     """
     if not isinstance(a, Partition):
         a = Partition(a)
-    out = ChernPoly.zero("s")
-    for prod, sign in special_expansion(a.conjugate()).items():
-        parts = Partition(sorted(prod, reverse=True))
-        total = sum(prod)
-        coeff = sign * (-1 if total % 2 else 1)
-        out = out + cmono(parts, coeff, "s")
-    return out
+    terms = (
+        (prod, -sign if sum(prod) % 2 else sign)
+        for prod, sign in special_expansion(a.conjugate()).items()
+    )
+    return ChernPoly(terms, "s")
 
 
 def banded_determinant(k: int) -> ChernPoly:

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 for invalid flags or configuration or an
-unwritable --output path, 2 when a pinned reference value mismatches (the
-requested output is still written in that case), 3 when an internal
-consistency check fails, such as the polytope guard (a bug, reported as
-"error: internal: ...").
+Exit codes: 0 on success, 1 for invalid flags or configuration (such as
+--n above 12) or an unwritable --output path, 2 when a pinned reference
+value mismatches (the requested output is still written in that case), 3
+when an internal consistency check fails, such as the polytope guard (a
+bug, reported as "error: internal: ...").
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ class _Parser(argparse.ArgumentParser):
 
 #: --m default, distinct from an explicit "--m symbolic"
 _M_UNSET = object()
+
+#: largest --n that generate and polytope accept; generation grows with the
+#: square of the partition count (generate --n 12 takes seconds, --n 14 far
+#: longer), so larger n is refused before any work starts
+MAX_N = 12
 
 
 def _parse_m(text: str):
@@ -124,9 +129,15 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _check_n(n: int) -> None:
+    if n < 2:
+        raise ValueError("--n must be at least 2")
+    if n > MAX_N:
+        raise ValueError(f"--n must be at most {MAX_N}")
+
+
 def cmd_generate(args) -> int:
-    if args.n < 2:
-        return _fail("--n must be at least 2")
+    _check_n(args.n)
     m_value = None if args.m is _M_UNSET else args.m
     if m_value == 0:
         return _fail("--m must be nonzero")
@@ -153,8 +164,7 @@ _CHI_NAMES = ("d1", "d2", "d3", "d4")
 
 
 def cmd_polytope(args) -> int:
-    if args.n < 2:
-        return _fail("--n must be at least 2")
+    _check_n(args.n)
     if args.m is _M_UNSET:
         if args.n == 2:
             m_value = 5

@@ -29,13 +29,11 @@ from typing import NamedTuple
 from .chern import (
     ChernPoly,
     chern_s_to_schubert,
-    cmono,
     gauss_pullback_chern,
     schubert_class_in_chern_s,
     schubert_class_in_chern_s_dual,
     substitute,
 )
-from .mpoly import MPoly
 from .partitions import Partition, enumerate_partitions
 from .schubert import is_effective
 
@@ -106,8 +104,7 @@ def upper_inequality(a, n: int) -> Inequality:
     """The top self-product dominates each product of pulled-back classes."""
     a = _require_weight(a, n)
     sign = -1 if n % 2 else 1
-    top = cmono([1] * n, MPoly((1, n + 1)) ** n)
-    lhs = (top - _gauss_product(a, n)) * sign
+    lhs = (_gauss_product(Partition([1] * n), n) - _gauss_product(a, n)) * sign
     return Inequality(n, lhs, Provenance("upper", a))
 
 

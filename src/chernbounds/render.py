@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .chern import ChernPoly, Monomial, cmono
+from .chern import ChernPoly, Monomial
 from .inequalities import Inequality, Provenance
 from .mpoly import MPoly
 from .partitions import Partition
@@ -211,11 +211,8 @@ def chern_to_json(poly: ChernPoly) -> dict:
 
 
 def parse_chern_json(data: dict, variables: str = "x") -> ChernPoly:
-    out = ChernPoly.zero(variables)
-    for entry in data["terms"]:
-        coeff = MPoly(Fraction(v) for v in entry["coeff_m"])
-        out = out + cmono(entry["monomial"], coeff, variables)
-    return out
+    terms = ((e["monomial"], MPoly(Fraction(v) for v in e["coeff_m"])) for e in data["terms"])
+    return ChernPoly(terms, variables)
 
 
 def provenance_to_json(prov: Provenance) -> dict:

@@ -8,27 +8,28 @@ classes falling outside the box vanish.
 
 Products are computed by expanding one factor through its Giambelli
 determinant into signed products of special classes and folding those in with
-the Pieri rule.  All values are immutable; all functions are pure.
+the Pieri rule.  The SchubertExpr constructor is the one place where terms are
+merged; every operation hands it (partition, coefficient) pairs.  All values
+are immutable; all functions are pure.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(NamedTuple("BoxSpec", [("rows", int), ("cols", int)])):
     """Grassmannian truncation box: `rows` allowed parts, each at most `cols`."""
 
-    rows: int
-    cols: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __new__(cls, rows: int, cols: int):
+        if rows < 1 or cols < 1:
             raise ValueError("box dimensions must be positive")
+        return super().__new__(cls, rows, cols)
 
     def fits(self, a: Partition) -> bool:
         return len(a) <= self.rows and (not a or a[0] <= self.cols)
@@ -42,13 +43,18 @@ class BoxSpec:
 
 
 class SchubertExpr:
-    """Integer linear combination of Schubert classes, keyed by partition."""
+    """Integer linear combination of Schubert classes, keyed by partition.
+
+    `terms` is a mapping or an iterable of (partition, coefficient) pairs.
+    Repeated partitions are added up here, once, and zero coefficients are
+    dropped.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         d: dict[Partition, int] = {}
-        for part, coeff in (terms or {}).items():
+        for part, coeff in terms.items() if hasattr(terms, "items") else terms or ():
             if not isinstance(part, Partition):
                 part = Partition(part)
             coeff = operator.index(coeff)
@@ -78,15 +84,12 @@ class SchubertExpr:
     def __add__(self, other: "SchubertExpr") -> "SchubertExpr":
         if not isinstance(other, SchubertExpr):
             return NotImplemented
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0) + c
-        return SchubertExpr(out)
+        return SchubertExpr([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "SchubertExpr") -> "SchubertExpr":
         if not isinstance(other, SchubertExpr):
             return NotImplemented
-        return self + (-other)
+        return SchubertExpr([*self.terms.items(), *((p, -c) for p, c in other.terms.items())])
 
     def __neg__(self) -> "SchubertExpr":
         return SchubertExpr({p: -c for p, c in self.terms.items()})
@@ -130,13 +133,11 @@ def pieri_multiply(expr: SchubertExpr, b: int, box: BoxSpec | None = None) -> Sc
     """
     if b < 0:
         raise ValueError("special class index must be nonnegative")
-    out: dict[Partition, int] = {}
-    for a, coeff in expr.terms.items():
-        if box is not None and not box.fits(a):
-            raise ValueError(f"{a} does not fit in the box")
-        for c in _pieri_partitions(a, b, box):
-            out[c] = out.get(c, 0) + coeff
-    return SchubertExpr(out)
+    if box is not None:
+        for a in expr.terms:
+            if not box.fits(a):
+                raise ValueError(f"{a} does not fit in the box")
+    return SchubertExpr((c, coeff) for a, coeff in expr.terms.items() for c in _pieri_partitions(a, b, box))
 
 
 def _pieri_partitions(a: Partition, b: int, box: BoxSpec | None) -> list[Partition]:
@@ -220,21 +221,20 @@ def _single_product(a: Partition, b: Partition, box: BoxSpec | None) -> Schubert
         a, b = b, a
     if not a:
         return SchubertExpr({b: 1})
-    acc: dict[Partition, int] = {}
+    terms = []
     for prod, sign in special_expansion(a).items():
         e = SchubertExpr({b: 1})
         for idx in prod:
             e = pieri_multiply(e, idx, box)
             if e.is_zero():
                 break
-        for p, c in e.terms.items():
-            acc[p] = acc.get(p, 0) + sign * c
-    return SchubertExpr(acc)
+        terms += ((p, sign * c) for p, c in e.terms.items())
+    return SchubertExpr(terms)
 
 
 def multiply(e1: SchubertExpr, e2: SchubertExpr, box: BoxSpec | None = None) -> SchubertExpr:
     """Product of two Schubert expressions (Giambelli expansion + Pieri folds)."""
-    out: dict[Partition, int] = {}
+    terms = []
     cache: dict[tuple[Partition, Partition], SchubertExpr] = {}
     for a, ca in e1.terms.items():
         for b, cb in e2.terms.items():
@@ -244,9 +244,8 @@ def multiply(e1: SchubertExpr, e2: SchubertExpr, box: BoxSpec | None = None) -> 
                 prod = _single_product(a, b, box)
                 cache[key] = prod
             scale = ca * cb
-            for p, c in prod.terms.items():
-                out[p] = out.get(p, 0) + scale * c
-    return SchubertExpr(out)
+            terms += ((p, scale * c) for p, c in prod.terms.items())
+    return SchubertExpr(terms)
 
 
 def is_effective(expr: SchubertExpr) -> bool:

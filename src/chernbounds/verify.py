@@ -55,12 +55,7 @@ class CheckResult(NamedTuple):
 
 
 def _cp(terms, variables: str = "x") -> ChernPoly:
-    total = ChernPoly.zero(variables)
-    for parts, coeff in terms:
-        if isinstance(coeff, tuple):
-            coeff = MPoly(coeff)
-        total = total + cmono(parts, coeff, variables)
-    return total
+    return ChernPoly(((parts, MPoly(c) if isinstance(c, tuple) else c) for parts, c in terms), variables)
 
 
 def _render(obj) -> str:

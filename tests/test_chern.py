@@ -34,6 +34,21 @@ def test_homogeneity_enforced():
     ChernPoly({(2,): 1, (1, 1): 1})
 
 
+def test_pairs_merge_repeated_monomials():
+    p = ChernPoly([((2,), 1), ((1, 1), mp(0, 1)), ((2,), 2)])
+    assert p.terms == cmono([2], 3).terms | cmono([1, 1], mp(0, 1)).terms
+    assert ChernPoly([((2,), mp(1, 1)), ((2,), mp(-1, -1))], "s").is_zero()
+    # a cancelled monomial leaves no degree behind
+    assert ChernPoly([((2,), 1), ((1,), 1), ((2,), -1)]) == cvar(1)
+    # a mapping is still accepted
+    assert ChernPoly({(2,): 3}) == cmono([2], 3)
+
+
+def test_pairs_keep_homogeneity_check():
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        ChernPoly([((1,), 1), ((2,), 1)])
+
+
 def test_cmono_and_arithmetic():
     p = cmono([2, 1], 3) - cvar(1) * cvar(2)
     assert p == cmono([2, 1], 2)
@@ -167,6 +182,11 @@ def test_giambelli_bridge():
 def test_substitute_scaling():
     doubled = substitute(cmono([1, 1]), lambda i: cmono([i], 2))
     assert doubled == cmono([1, 1], 4)
+
+
+def test_substitute_rejects_another_variables_tag():
+    with pytest.raises(ValueError, match="mixed variable tags"):
+        substitute(cmono([1, 1]), lambda i: cmono([i], 1, "s"), variables="x")
 
 
 def test_substitute_requires_line_replacement():

@@ -68,6 +68,16 @@ def test_generate_rejects_bad_input(capsys):
     assert run_cli(capsys, "generate", "--n", "2", "--m", "x")[0] == 1
 
 
+@pytest.mark.parametrize("command", ["generate", "polytope"])
+def test_generate_and_polytope_reject_large_n(capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("generation started for an oversized --n")
+
+    monkeypatch.setattr(chernbounds.cli, "generate_all", no_work)
+    monkeypatch.setattr(chernbounds.cli, "build_polytope", no_work)
+    assert run_cli(capsys, command, "--n", "13", "--m", "1") == (1, "", "error: --n must be at most 12\n")
+
+
 def test_generate_m_symbolic_spelled_out(capsys):
     code, out, _ = run_cli(capsys, "generate", "--n", "2", "--m", "symbolic")
     assert code == 0
@@ -288,3 +298,15 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(1/12)*c1^2 + (1/12)*c2"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site hooks out, so only the package's own imports count
+    package_parent = os.path.dirname(os.path.dirname(chernbounds.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {package_parent!r}); import chernbounds.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

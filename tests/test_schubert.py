@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,20 @@ def test_constructors_reject_non_integers():
         sigma(2.5)
     with pytest.raises(TypeError):
         SchubertExpr({(1,): Fraction(1, 2)})
+
+
+def test_pairs_merge_repeated_partitions():
+    e = SchubertExpr([((2, 1), 1), ((3,), 2), ((2, 1), 1)])
+    assert e.terms == {(2, 1): 2, (3,): 2}
+    assert SchubertExpr([((2,), 1), ((2,), -1)]).is_zero()
+    assert SchubertExpr({(2,): 1}) == sigma(2)
+
+
+def test_pair_coefficients_must_be_integers():
+    with pytest.raises(TypeError):
+        SchubertExpr([((1,), Fraction(1, 2))])
+    with pytest.raises(TypeError):
+        SchubertExpr([((1,), 1), ((1,), 1.0)])
 
 
 def test_pieri_basic_products():
@@ -117,6 +132,19 @@ def test_box_truncation():
     assert pieri_multiply(sigma(2, 1), 1, BoxSpec(2, 3)) == sigma(3, 1) + sigma(2, 2)
     # same product without a box has three terms
     assert len(pieri_multiply(sigma(2, 1), 1).terms) == 3
+
+
+def test_box_dimensions_must_be_positive():
+    with pytest.raises(ValueError, match="box dimensions must be positive"):
+        BoxSpec(0, 1)
+    with pytest.raises(ValueError):
+        BoxSpec(2, 0)
+    assert repr(BoxSpec(2, 3)) == "BoxSpec(rows=2, cols=3)"
+
+
+def test_pieri_outside_box_names_the_partition():
+    with pytest.raises(ValueError, match=re.escape("Partition((3, 1)) does not fit in the box")):
+        pieri_multiply(sigma(2) + sigma(3, 1), 1, BoxSpec(2, 2))
 
 
 def test_box_fits_and_complement():
