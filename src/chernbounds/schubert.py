@@ -8,9 +8,15 @@ classes falling outside the box vanish.
 
 Products are computed by expanding one factor through its Giambelli
 determinant into signed products of special classes and folding those in with
-the Pieri rule.  The SchubertExpr constructor is the one place where terms are
-merged; every operation hands it (partition, coefficient) pairs.  All values
-are immutable; all functions are pure.
+the Pieri rule, always inside a box.  Two ring maps keep this exact.
+Truncation to a box is one (Fulton, Young Tableaux, 9.4), so a stable product
+s_a s_b runs in the len(a) + len(b) by a_1 + b_1 box, which holds all its terms.
+Conjugation is another (Macdonald, Symmetric Functions, I.2-I.3): when a first
+part is less than the expanded factor's length, the conjugates are multiplied
+in the transposed box, a smaller determinant, and the result is conjugated
+back.  The SchubertExpr constructor is the one place where terms are merged;
+every operation hands it (partition, coefficient) pairs.  All values are
+immutable; all functions are pure.
 """
 
 from __future__ import annotations
@@ -30,6 +36,11 @@ class BoxSpec(NamedTuple("BoxSpec", [("rows", int), ("cols", int)])):
         if rows < 1 or cols < 1:
             raise ValueError("box dimensions must be positive")
         return super().__new__(cls, rows, cols)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; both must pass the check in __new__
+        return cls(*iterable)
 
     def fits(self, a: Partition) -> bool:
         return len(a) <= self.rows and (not a or a[0] <= self.cols)
@@ -146,9 +157,11 @@ def _pieri_partitions(a: Partition, b: int, box: BoxSpec | None) -> list[Partiti
     out: list[Partition] = []
 
     def rec(i: int, extra: int, prefix: tuple[int, ...]):
+        if extra == b:
+            # the strip is complete: every remaining row keeps its length
+            out.append(Partition(prefix + a[i:]))
+            return
         if i == max_rows:
-            if extra == b:
-                out.append(Partition(prefix))
             return
         lo = a[i] if i < k else 0
         if i > 0:
@@ -221,6 +234,17 @@ def _single_product(a: Partition, b: Partition, box: BoxSpec | None) -> Schubert
         a, b = b, a
     if not a:
         return SchubertExpr({b: 1})
+    if box is None:
+        # every term of s_a s_b fits, so truncating to this box loses nothing
+        box = BoxSpec(len(a) + len(b), a[0] + b[0])
+    elif not box.fits(b):
+        raise ValueError(f"{b} does not fit in the box")
+    elif not box.fits(a):
+        return SchubertExpr()  # the class of a vanishes in this box
+    if min(a[0], b[0]) < len(a):
+        # the transposed determinant has min(a[0], b[0]) rows: no second turn
+        flipped = _single_product(a.conjugate(), b.conjugate(), BoxSpec(box.cols, box.rows))
+        return SchubertExpr((p.conjugate(), c) for p, c in flipped.terms.items())
     terms = []
     for prod, sign in special_expansion(a).items():
         e = SchubertExpr({b: 1})
@@ -233,7 +257,11 @@ def _single_product(a: Partition, b: Partition, box: BoxSpec | None) -> Schubert
 
 
 def multiply(e1: SchubertExpr, e2: SchubertExpr, box: BoxSpec | None = None) -> SchubertExpr:
-    """Product of two Schubert expressions (Giambelli expansion + Pieri folds)."""
+    """Product of two Schubert expressions (Giambelli expansion + Pieri folds).
+
+    Each class product expands the smaller determinant inside a box, as the
+    module docstring explains.  In box mode the longer factor must fit the box.
+    """
     terms = []
     cache: dict[tuple[Partition, Partition], SchubertExpr] = {}
     for a, ca in e1.terms.items():

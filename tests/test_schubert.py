@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -142,6 +143,26 @@ def test_box_dimensions_must_be_positive():
     assert repr(BoxSpec(2, 3)) == "BoxSpec(rows=2, cols=3)"
 
 
+def test_replace_keeps_the_dimension_check():
+    box = BoxSpec(2, 3)
+    with pytest.raises(ValueError, match="box dimensions must be positive"):
+        box._replace(rows=0)
+    with pytest.raises(ValueError, match="box dimensions must be positive"):
+        BoxSpec._make((2, 0))
+    assert box._replace(rows=4) == BoxSpec(4, 3)
+    assert type(box._replace(rows=4)) is BoxSpec
+
+
+def test_multiply_outside_box_names_the_given_partition():
+    # the unexpanded factor is checked before any conjugation
+    with pytest.raises(ValueError, match=re.escape("Partition((2, 2, 2)) does not fit in the box")):
+        multiply(sigma(1, 1), sigma(2, 2, 2), box=BoxSpec(2, 2))
+    with pytest.raises(ValueError, match=re.escape("Partition((3, 3)) does not fit in the box")):
+        multiply(sigma(3, 3), sigma(1), box=BoxSpec(2, 2))
+    # the expanded (shorter) factor is not checked: outside the box it is zero
+    assert multiply(sigma(2, 1), sigma(1, 1, 1), box=BoxSpec(3, 1)).is_zero()
+
+
 def test_pieri_outside_box_names_the_partition():
     with pytest.raises(ValueError, match=re.escape("Partition((3, 1)) does not fit in the box")):
         pieri_multiply(sigma(2) + sigma(3, 1), 1, BoxSpec(2, 2))
@@ -174,3 +195,51 @@ def test_duality_table_is_kronecker_delta(rows, cols):
                 continue
             expect = 1 if b == box.complement(a) else 0
             assert dual_pairing(a, b, box) == expect, (a, b)
+
+
+def _plain_fold(a, b):
+    """sigma_a * sigma_b as a signed sum of stable Pieri chains on sigma_b.
+
+    Expands a itself, with no bounding box and no conjugation.
+    """
+    acc = SchubertExpr()
+    for word, sign in special_expansion(a).items():
+        term = sigma(*b)
+        for k in word:
+            term = pieri_multiply(term, k)
+        acc = acc + sign * term
+    return acc
+
+
+_UP_TO_5 = [lam for w in range(6) for lam in enumerate_partitions(w)]
+
+
+def test_multiply_equals_the_plain_fold_up_to_weight_5():
+    boxes = [BoxSpec(r, c) for r in range(1, 5) for c in range(1, 5)]
+    checked = 0
+    for a in _UP_TO_5:
+        for b in _UP_TO_5:
+            fold = _plain_fold(a, b)
+            assert multiply(sigma(*a), sigma(*b)) == fold, (a, b)
+            for box in boxes:
+                if box.fits(a) and box.fits(b):
+                    in_box = SchubertExpr((p, c) for p, c in fold.terms.items() if box.fits(p))
+                    assert multiply(sigma(*a), sigma(*b), box) == in_box, (a, b, box)
+                    checked += 1
+    assert checked == 1452
+
+
+def test_multiply_equals_the_plain_fold_on_four_part_factors():
+    # the shape of the calculus workload's products: four parts, each 2 or 3
+    rng = random.Random(20)
+    for _ in range(20):
+        a, b = (Partition(sorted(rng.choices((2, 3), k=4), reverse=True)) for _ in range(2))
+        assert multiply(sigma(*a), sigma(*b)) == _plain_fold(a, b), (a, b)
+
+
+def test_conjugation_is_a_ring_map():
+    for a in _UP_TO_5:
+        for b in _UP_TO_5:
+            got = multiply(sigma(*a), sigma(*b))
+            want = multiply(sigma(*a.conjugate()), sigma(*b.conjugate()))
+            assert SchubertExpr((p.conjugate(), c) for p, c in got.terms.items()) == want, (a, b)
