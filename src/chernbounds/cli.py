@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 for invalid flags or configuration (such as
---n above 12) or an unwritable --output path, 2 when a pinned reference
+--n above 12, a todd degree above 16 or a sigma-to-chern weight above 32)
+or an unwritable --output path, 2 when a pinned reference
 value mismatches (the requested output is still written in that case), 3
 when an internal consistency check fails, such as the polytope guard (a
 bug, reported as "error: internal: ...").
@@ -56,6 +57,11 @@ _M_UNSET = object()
 #: square of the partition count (generate --n 12 takes seconds, --n 14 far
 #: longer), so larger n is refused before any work starts
 MAX_N = 12
+
+#: largest todd degree and sigma-to-chern weight; both outputs grow with the
+#: number of partitions, so larger sizes are refused before any work starts
+MAX_TODD_DEGREE = 16
+MAX_SIGMA_WEIGHT = 32
 
 
 def _parse_m(text: str):
@@ -226,6 +232,8 @@ def cmd_schubert(args) -> int:
 def cmd_sigma_to_chern(args) -> int:
     if args.w < 1:
         return _fail("weight must be positive")
+    if args.w > MAX_SIGMA_WEIGHT:
+        return _fail(f"weight must be at most {MAX_SIGMA_WEIGHT}")
     return _emit_expr(special_to_chern_s(args.w), chern_to_json, render_chern, args)
 
 
@@ -240,6 +248,8 @@ def cmd_gauss_chern(args) -> int:
 def cmd_todd(args) -> int:
     if args.d < 1:
         return _fail("degree must be positive")
+    if args.d > MAX_TODD_DEGREE:
+        return _fail(f"degree must be at most {MAX_TODD_DEGREE}")
     return _emit_expr(todd_polynomial(args.d).body, chern_to_json, render_chern, args)
 
 

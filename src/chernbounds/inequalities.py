@@ -23,7 +23,7 @@ emitting a wrong inequality.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+import math
 from typing import NamedTuple
 
 from .chern import (
@@ -177,15 +177,13 @@ def generate_all(n: int, include_comparisons: bool = True) -> list[Inequality]:
 
 
 def specialize(ineq: Inequality, m_value: int) -> Inequality:
-    """Evaluate the coefficients at an integer m and divide out the positive
-    rational content; division happens only after specialization so every
+    """Evaluate the Z[m] coefficients at an integer m and divide out their
+    positive int gcd; division happens only after specialization so every
     divisor has a known sign.
     """
     if m_value == 0:
         raise ValueError("m must be nonzero")
-    lhs = ineq.lhs.specialize_m(m_value)
-    if not lhs.is_zero():
-        content = lhs.content()
-        if content > 0 and content != 1:
-            lhs = lhs * (Fraction(1) / content)
+    values = {mn: c(m_value) for mn, c in ineq.lhs.terms.items()}
+    content = math.gcd(*values.values()) or 1
+    lhs = ChernPoly(((mn, v // content) for mn, v in values.items()), ineq.lhs.variables)
     return Inequality(ineq.n, lhs, ineq.provenance, m_value)

@@ -6,11 +6,11 @@ specializing m, each inequality divides by c_1^n; c_1^n has sign (-1)^n for
 general type and +1 for Fano, so rows are multiplied by that sign to keep
 the >= 0 direction.  Every row is a nonnegative combination of the
 pulled-back Schubert rows, so the polytope is the simplex whose vertices
-schubert_vertices writes down in closed form.  Bounds are the min and max
-over those vertices, after a two-part guard (_simplex_vertices) proves that
-the rows cut out exactly that simplex; a guard failure is a generator bug and
-raises RuntimeError.  lp_optimize solves exact rational LPs over arbitrary
-row sets.
+_homogeneous_vertices writes down in closed form as int pairs (L > 0, L*v).
+Rows are int too, so a two-part guard (_simplex_vertices) proves in int
+arithmetic that the rows cut out exactly that simplex (a failure is a
+generator bug and raises RuntimeError); bounds, the min and max over the
+vertices, are the only division.  lp_optimize solves exact rational LPs.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .chern import ChernPoly, chern_s_to_schubert, cmono, cvar, gauss_pullback_c
 from .inequalities import Inequality, _label, generate_all, specialize
 from .lp import simplex_max
 from .partitions import Partition, enumerate_partitions
+from .schubert import SchubertExpr
 from .todd import chi_structure_sheaf_functional
 
 GENERAL_TYPE = "general-type"
@@ -40,8 +41,8 @@ def ratio_coordinates(n: int) -> list[Partition]:
 
 class RatioInequality(NamedTuple):
     n: int
-    coeffs: tuple[Fraction, ...]  # aligned with ratio_coordinates(n)
-    constant: Fraction
+    coeffs: tuple[int, ...]  # aligned with ratio_coordinates(n)
+    constant: int
 
     def is_constant_only(self) -> bool:
         return not any(self.coeffs)
@@ -60,21 +61,23 @@ def _mode_sign(n: int, m_value: int, mode: str) -> int:
 
 
 def normalize_to_ratio(ineq: Inequality, m_value: int, mode: str) -> RatioInequality:
-    """Divide a specialized inequality by c_1^n and fix the direction."""
+    """Divide a specialized inequality by c_1^n and fix the direction; the row is int."""
     if ineq.m_value != m_value:
         raise ValueError("inequality must be specialized at the given m")
     sign = _mode_sign(ineq.n, m_value, mode)
     ones = Partition([1] * ineq.n)
-    vals: dict[Partition, Fraction] = {}
+    vals: dict[Partition, int] = {}
     for mono, coeff in ineq.lhs.terms.items():
         if mono.line_power:
             raise ValueError("unexpected twist symbol in inequality")
         if not coeff.is_constant():
             raise ValueError("coefficients still symbolic, specialize first")
-        vals[mono.parts] = coeff.constant_value()
+        if coeff.constant_value().denominator != 1:
+            raise ValueError(f"non-integer coefficient {coeff.constant_value()} in a specialized inequality")
+        vals[mono.parts] = int(coeff.constant_value())
     coords = ratio_coordinates(ineq.n)
-    row = tuple(sign * vals.get(q, Fraction(0)) for q in coords)
-    const = sign * vals.get(ones, Fraction(0))
+    row = tuple(sign * vals.get(q, 0) for q in coords)
+    const = sign * vals.get(ones, 0)
     if not any(row) and const == 0:
         raise ValueError("degenerate inequality 0 >= 0")
     return RatioInequality(ineq.n, row, const)
@@ -90,8 +93,7 @@ def build_polytope(
     specialize leaves every row primitive (content 1), so rows equal up to
     positive scaling are already equal and dedupe as they are.
     """
-    rows: list[RatioInequality] = []
-    seen = set()
+    rows: dict[RatioInequality, None] = {}  # kept in first-seen order
     for ineq in generate_all(n, include_comparisons):
         ratio = normalize_to_ratio(specialize(ineq, m_value), m_value, mode)
         if ratio.is_constant_only():
@@ -100,54 +102,60 @@ def build_polytope(
                 label = f"{ineq.provenance.kind} {_label(ineq.provenance.a)}"
                 raise RuntimeError(f"{where}: the {label} row is a negative constant")
             continue
-        if ratio not in seen:
-            seen.add(ratio)
-            rows.append(ratio)
-    return rows
+        rows[ratio] = None
+    return list(rows)
 
 
-def _chern_in_schubert(n: int, m_value: int) -> dict[Partition, dict[Partition, Fraction]]:
-    """A[q][lam] with c_q = sum over lam of A[q][lam] * g*sigma_lam, for q |- n.
+def _chern_in_schubert(n: int, m_value: int) -> dict[Partition, SchubertExpr]:
+    """D^n A[q], where c_q = sum over lam of A[q][lam] * g*sigma_lam, for q |- n.
 
-    The pulled-back c_p is a nonzero constant times c_p plus terms in
-    c_1..c_{p-1}, so the Gauss substitution inverts triangularly at the
-    numeric m.  Each subbundle monomial s^a is (-1)^n chern_s_to_schubert(a),
-    which does not depend on m.
+    The pulled-back c_p is lead * c_p plus terms of degree p in c_1..c_{p-1},
+    with lead D = 1 + (n+1)m for p = 1 and 1 otherwise, so the Gauss
+    substitution inverts triangularly over Z in the scaled classes D^p c_p.
+    Each subbundle monomial s^a is (-1)^n chern_s_to_schubert(a), free of m.
     """
     sign = -1 if n % 2 else 1
+    d = 1 + (n + 1) * m_value
     inverse: dict[int, ChernPoly] = {}
     for p in range(1, n + 1):
         pulled = gauss_pullback_chern(n, p).specialize_m(m_value)
         lead = pulled.coeff((p,)).constant_value()
+        if lead != (d if p == 1 else 1):
+            raise RuntimeError(f"Gauss inverse n={n} m={m_value}: the pulled-back c{p} has lead {lead}")
         lower = substitute(pulled - cmono((p,), lead), inverse.__getitem__, variables="s")
-        inverse[p] = (cvar(p, "s") - lower) * Fraction(1, lead)
+        inverse[p] = cvar(p, "s") * (d**p // lead) - lower
     table = {}
     for q in enumerate_partitions(n):
         in_s = math.prod((inverse[part] for part in q), start=ChernPoly.one("s"))
-        row: dict[Partition, Fraction] = {}
-        for mono, coeff in in_s.terms.items():
-            for lam, k in chern_s_to_schubert(mono.parts).terms.items():
-                row[lam] = row.get(lam, 0) + sign * k * coeff.constant_value()
-        table[q] = row
+        table[q] = SchubertExpr(
+            (lam, sign * k * coeff.constant_value())
+            for mono, coeff in in_s.terms.items()
+            for lam, k in chern_s_to_schubert(mono.parts).terms.items()
+        )
     return table
 
 
-def schubert_vertices(n: int, m_value: int) -> list[tuple[Fraction, ...]]:
+def _homogeneous_vertices(n: int, m_value: int) -> list[tuple[int, tuple[int, ...]]]:
     """Vertices of the simplex cut out by the pulled-back Schubert classes.
 
     Vertex lam, in enumerate_partitions(n) order, is where every g*sigma_mu
     but g*sigma_lam vanishes, so its ratio coordinates are
-    A[q][lam] / A[1^n][lam].  The denominator is (-1)^n f^lam / D^n, with
-    f^lam > 0 the number of standard tableaux of shape lam and
-    D = 1 + (n+1)m != 0, so every vertex exists.
+    A[q][lam] / A[1^n][lam], returned as (L, L*v) with L = (-1)^n D^n A[1^n][lam]
+    = f^lam > 0, the number of standard tableaux of shape lam.
     """
+    sign = -1 if n % 2 else 1
     table = _chern_in_schubert(n, m_value)
     ones = table[Partition([1] * n)]
     coords = ratio_coordinates(n)
     return [
-        tuple(Fraction(table[q].get(lam, 0)) / ones[lam] for q in coords)
+        (sign * ones.coeff(lam), tuple(sign * table[q].coeff(lam) for q in coords))
         for lam in enumerate_partitions(n)
     ]
+
+
+def schubert_vertices(n: int, m_value: int) -> list[tuple[Fraction, ...]]:
+    """_homogeneous_vertices as rational points."""
+    return [tuple(Fraction(x, L) for x in w) for L, w in _homogeneous_vertices(n, m_value)]
 
 
 class LpResult(NamedTuple):
@@ -196,24 +204,24 @@ def lp_optimize(
 
 @functools.lru_cache(maxsize=1)
 def _simplex_vertices(rows: tuple[RatioInequality, ...], m_value: int):
-    """schubert_vertices at m_value, checked to be the vertices of the rows' polytope.
+    """_homogeneous_vertices at m_value, checked to be the vertices of the rows' polytope.
 
-    (a) Every row is >= 0 at every vertex, so the simplex lies in the
-    polytope.  (b) For each vertex some row vanishes at all the others and
-    is positive there; that row is a positive multiple of the vertex's
-    barycentric coordinate (which forces the vertices to be affinely
-    independent), so the polytope lies in the simplex.  Rows from
-    build_polytope always pass: a failure contradicts Schur positivity, so
-    it is a generator bug and raises RuntimeError naming the vertex.  The
-    last row set is cached, so bounds and chi on the same rows check it once.
+    (a) Every row is >= 0 at every vertex (L, w), read off the int
+    L*constant + sum c*w, so the simplex lies in the polytope.  (b) For each
+    vertex some row vanishes at all the others and is positive there; it is
+    a positive multiple of the vertex's barycentric coordinate (so the
+    vertices are affinely independent), and the polytope lies in the simplex.
+    Rows from build_polytope always pass: a failure contradicts Schur
+    positivity, so it is a generator bug and raises RuntimeError naming the
+    vertex.  The last row set is cached, so bounds and chi check it once.
     """
     n = rows[0].n
-    vertices = schubert_vertices(n, m_value)
+    vertices = _homogeneous_vertices(n, m_value)
     partitions = enumerate_partitions(n)
     where = f"polytope guard n={n} m={m_value}"
     facets = set()
     for r in rows:
-        vals = [r.constant + sum(c * x for c, x in zip(r.coeffs, v)) for v in vertices]
+        vals = [L * r.constant + sum(c * x for c, x in zip(r.coeffs, w)) for L, w in vertices]
         for lam, x in zip(partitions, vals):
             if x < 0:
                 raise RuntimeError(f"{where}: a row is negative at the s{_label(lam)} vertex")
@@ -239,8 +247,8 @@ class BoundsCertificate(NamedTuple):
     coordinates: tuple[CoordinateBound, ...]
 
 
-def _extremes(objective, vertices) -> tuple[Fraction, Fraction]:
-    values = [sum(c * x for c, x in zip(objective, v)) for v in vertices]
+def _extremes(objective, vertices, shift=0) -> tuple[Fraction, Fraction]:
+    values = [Fraction(shift * L + sum(c * x for c, x in zip(objective, w)), L) for L, w in vertices]
     return min(values), max(values)
 
 
@@ -255,10 +263,8 @@ def boundedness_certificate(
     """
     n = rows[0].n
     vertices = _simplex_vertices(tuple(rows), m_value)
-    bounds = tuple(
-        CoordinateBound(q, min(v[j] for v in vertices), max(v[j] for v in vertices))
-        for j, q in enumerate(ratio_coordinates(n))
-    )
+    coords = ratio_coordinates(n)
+    bounds = tuple(CoordinateBound(q, *_extremes([int(p == q) for p in coords], vertices)) for q in coords)
     return BoundsCertificate(n, m_value, mode, bounds)
 
 
@@ -289,5 +295,4 @@ def chi_bounds(rows: list[RatioInequality], m_value: int) -> ChiBounds:
     todd_vals = {mono.parts: coeff.constant_value() for mono, coeff in todd.terms.items()}
     todd_obj = tuple(sign * todd_vals.get(q, 0) for q in coords)
     todd_shift = sign * todd_vals.get(Partition([1] * n), 0)
-    d3, d4 = _extremes(todd_obj, vertices)
-    return ChiBounds(*_extremes(top_obj, vertices), d3 + todd_shift, d4 + todd_shift)
+    return ChiBounds(*_extremes(top_obj, vertices), *_extremes(todd_obj, vertices, todd_shift))

@@ -11,6 +11,7 @@ import pytest
 import chernbounds.cli
 import chernbounds.inequalities
 import chernbounds.polytope
+from chernbounds.chern import cvar
 from chernbounds.cli import main
 from chernbounds.inequalities import generate_all, specialize
 from chernbounds.polytope import RatioInequality
@@ -256,6 +257,34 @@ def test_polytope_guard_failure_exits_3(capsys, monkeypatch):
     assert err == (
         "error: internal: polytope guard n=3 m=1: a row is negative at the s(1,1,1) vertex\n"
     )
+
+
+def test_gauss_inverse_lead_failure_exits_3(capsys, monkeypatch):
+    real = chernbounds.polytope.gauss_pullback_chern
+
+    def wrong_c2_lead(n, p):
+        return real(n, p) + cvar(2) if p == 2 else real(n, p)
+
+    monkeypatch.setattr(chernbounds.polytope, "gauss_pullback_chern", wrong_c2_lead)
+    chernbounds.polytope._simplex_vertices.cache_clear()
+    code, out, err = run_cli(capsys, "polytope", "--n", "3", "--m", "1", "--bounds")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: Gauss inverse n=3 m=1: the pulled-back c2 has lead 2\n"
+
+
+def test_todd_degree_cap(capsys):
+    code, out, err = run_cli(capsys, "todd", str(chernbounds.cli.MAX_TODD_DEGREE + 1))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: degree must be at most {chernbounds.cli.MAX_TODD_DEGREE}\n"
+
+
+def test_sigma_to_chern_weight_cap(capsys):
+    code, out, err = run_cli(capsys, "sigma-to-chern", str(chernbounds.cli.MAX_SIGMA_WEIGHT + 1))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: weight must be at most {chernbounds.cli.MAX_SIGMA_WEIGHT}\n"
 
 
 def test_output_file(tmp_path, capsys):

@@ -26,6 +26,7 @@ from chernbounds import (
     cmono,
     effective_inequality,
     enumerate_partitions,
+    generate_all,
     lp_optimize,
     normalize_to_ratio,
     ratio_coordinates,
@@ -149,6 +150,23 @@ def test_rows_are_primitive(m_value, mode):
     for n in range(2, 7):
         for row in build_polytope(n, m_value, mode):
             assert rational_content(row.coeffs + (row.constant,)) == 1, (n, row)
+
+
+@pytest.mark.parametrize("m_value, mode", [(2, GENERAL_TYPE), (-1, FANO)])
+def test_rows_and_specialized_coefficients_are_int(m_value, mode):
+    for n in range(2, 7):
+        for row in build_polytope(n, m_value, mode):
+            assert all(type(v) is int for v in row.coeffs + (row.constant,)), (n, row)
+        for ineq in generate_all(n):
+            coeffs = specialize(ineq, m_value).lhs.terms.values()
+            assert all(type(c.constant_value()) is int for c in coeffs), (n, ineq.provenance)
+
+
+def test_normalize_refuses_non_integer_coefficient():
+    half = cmono([2], Fraction(1, 2)) + cmono([1, 1], 1)
+    ineq = Inequality(2, half, Provenance("effective", Partition((2,))), 1)
+    with pytest.raises(ValueError, match="non-integer coefficient 1/2"):
+        normalize_to_ratio(ineq, 1, GENERAL_TYPE)
 
 
 def test_negative_constant_row_raises(monkeypatch):
@@ -275,12 +293,12 @@ def _standard_tableaux(lam):
 
 @pytest.mark.parametrize("m_value", [3, -1])
 def test_ones_denominators_are_standard_tableau_counts(m_value):
-    # c_1^n = sum over lam of (-1)^n f^lam / D^n g*sigma_lam, D = 1 + (n+1)m
+    # c_1^n = sum over lam of (-1)^n f^lam / D^n g*sigma_lam, D = 1 + (n+1)m;
+    # the table is scaled by D^n, so its 1^n row is (-1)^n f^lam exactly
     for n in range(2, 9):
-        d = 1 + (n + 1) * m_value
         ones = _chern_in_schubert(n, m_value)[Partition([1] * n)]
-        expected = {lam: Fraction((-1) ** n * _standard_tableaux(lam), d**n) for lam in enumerate_partitions(n)}
-        assert ones == expected
+        expected = {lam: (-1) ** n * _standard_tableaux(lam) for lam in enumerate_partitions(n)}
+        assert ones.terms == expected
 
 
 def test_vertex_cut_off_raises():
